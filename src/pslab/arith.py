@@ -19,6 +19,7 @@ SIEVE_LIMIT_GUARD = 10**9
 SPF_LIMIT_GUARD = 10**8
 FACTOR_GUARD = 10**14
 MOBIUS_LIMIT_GUARD = 10**8
+SQUAREFREE_BULK_MAX = 10**12  # its cube root, 10^4, is the end of _SMALL_PRIMES
 SEGMENT_SIZE = 1 << 18  # 256 KiB segments keep the sieve cache-resident
 
 # strong-probable-prime bases covering all n < 3.317e24 (first 13 primes)
@@ -253,7 +254,7 @@ def is_squarefree(m: int, cache: Optional[SieveCache] = None) -> bool:
 
 
 def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:
-    """Vectorized squarefree test for int64 values up to 10^12.
+    """Vectorized squarefree test for int64 values up to SQUAREFREE_BULK_MAX.
 
     Divides out the primes below cbrt(max); the remaining cofactor has at
     most two prime factors, so it is non-squarefree exactly when it is a
@@ -265,8 +266,8 @@ def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:
     if int(v.min()) < 1:
         raise ValidationError("is_squarefree_bulk requires values >= 1")
     v_max = int(v.max())
-    if v_max > 10**12:
-        raise GuardError("is_squarefree_bulk supports values up to 10^12")
+    if v_max > SQUAREFREE_BULK_MAX:
+        raise GuardError(f"is_squarefree_bulk supports values up to {SQUAREFREE_BULK_MAX}")
 
     bad = np.zeros(v.shape, dtype=bool)
     cbrt = int(round(v_max ** (1.0 / 3.0))) + 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import GuardError, ValidationError
 from .pscore import ExponentC, is_ps_value
 
 SEARCH_GUARD = 10**9
-_SPF_SEARCH_LIMIT = 10**7  # 80 MB table; larger limits use per-N checks
+SEGMENT = 1 << 20  # numbers per Korselt-sieve segment, about 20 MB of work arrays
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,11 @@ def korselt(N: int) -> bool:
     return all((N - 1) % (p - 1) == 0 for p, _ in fm.entries)
 
 
+def _record(N: int, c: ExponentC) -> CarmichaelRecord:
+    fm = factorize(N)
+    return CarmichaelRecord(N, fm, tuple(is_ps_value(p, c).is_member for p in fm.primes()))
+
+
 def is_ps_carmichael(N: int, c: ExponentC) -> Optional[CarmichaelRecord]:
     """The record for N when N is Carmichael with every factor a sequence
     value under c; None otherwise."""
@@ -62,65 +68,49 @@ def is_ps_carmichael(N: int, c: ExponentC) -> Optional[CarmichaelRecord]:
         raise ValidationError(f"N must be >= 2, got {N}")
     if not korselt(N):
         return None
-    fm = factorize(N)
-    status = tuple(is_ps_value(p, c).is_member for p in fm.primes())
-    if not all(status):
-        return None
-    return CarmichaelRecord(N, fm, status)
+    rec = _record(N, c)
+    return rec if rec.all_ps else None
 
 
 def carmichael_numbers_up_to(limit: int) -> list[int]:
-    """All Carmichael numbers <= limit, by sieve-driven Korselt scan.
+    """All Carmichael numbers <= limit, by a segmented Korselt sieve.
 
-    Candidates are odd squarefree composites with at least three prime
-    factors; each surviving candidate is checked against Korselt's
-    divisibility condition using its sieve factorization.
+    Every prime factor p of a Carmichael number N has p < sqrt(N): since
+    N - 1 = (N/p - 1) p + (p - 1), p - 1 | N - 1 forces p - 1 | N/p - 1, so
+    N/p > p.  The odd primes up to sqrt(limit) therefore suffice.  For a
+    multiple N of p, p - 1 | N - 1 means N = p (mod p(p-1)); per N, each
+    segment multiplies the primes p meeting that.  N is Carmichael exactly
+    when the product is N (so N is squarefree) with at least three factors.
     """
     if limit > SEARCH_GUARD:
         raise GuardError(f"limit {limit} exceeds the guard {SEARCH_GUARD}")
     if limit < 561:
         return []
-    if limit <= _SPF_SEARCH_LIMIT:
-        cache = primes_up_to(limit, with_spf=True)
-        spf = cache.spf
-        out = []
-        for N in range(9, limit + 1, 2):
-            if spf[N] == N:  # prime
-                continue
-            m = N
-            ok = True
-            nfac = 0
-            while m > 1:
-                p = int(spf[m])
-                m //= p
-                if m % p == 0:  # square factor
-                    ok = False
-                    break
-                nfac += 1
-                if (N - 1) % (p - 1) != 0:
-                    ok = False
-                    break
-            if ok and nfac >= 3:
-                out.append(N)
-        return out
-    # beyond the table, fall back to blockwise per-N Korselt checks
-    out = []
-    for N in range(561, limit + 1, 2):
-        if korselt(N):
-            out.append(N)
+    sieving = [int(p) for p in primes_up_to(isqrt(limit)).primes[1:]]
+    out: list[int] = []
+    for lo in range(1, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
+        prod = np.ones(hi - lo, dtype=np.int64)  # divides N, so never overflows
+        count = np.zeros(hi - lo, dtype=np.uint8)
+        for p in sieving:
+            if p * p >= hi:
+                break
+            step = p * (p - 1)
+            first = (p - lo) % step
+            if first < hi - lo:  # most large p have no hit in a segment
+                prod[first::step] *= p
+                count[first::step] += 1
+        N = np.arange(lo, hi, dtype=np.int64)
+        out.extend(N[(prod == N) & (count >= 3)].tolist())
     return out
 
 
-def search_ps_carmichael(limit: int, c: ExponentC) -> list[CarmichaelRecord]:
-    """All Carmichael numbers <= limit whose prime factors are all sequence
-    values under c, sorted ascending with exact membership witnesses."""
-    records = []
-    for N in carmichael_numbers_up_to(limit):
-        fm = factorize(N)
-        status = tuple(is_ps_value(p, c).is_member for p in fm.primes())
-        if all(status):
-            records.append(CarmichaelRecord(N, fm, status))
-    return records
+def search_ps_carmichael(limit: int, c: ExponentC, require_all: bool = True) -> list[CarmichaelRecord]:
+    """All Carmichael numbers <= limit, ascending, with exact membership
+    witnesses under c for their factors; with ``require_all``, only those
+    whose factors are all sequence values."""
+    records = [_record(N, c) for N in carmichael_numbers_up_to(limit)]
+    return [r for r in records if r.all_ps] if require_all else records
 
 
 def fermat_holds(N: int, bases: tuple[int, ...] = (2, 3, 5, 7)) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,14 +23,11 @@ from .pscore import ExponentC, count_decomposition, floor_pow, is_ps_value, ps_v
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: subcommand path, parameters, and I/O choices."""
+    """Resolved invocation: worker count and I/O choices."""
 
-    subcommand: str
-    params: dict
     threads: int = 1
     fmt: str = "csv"
     output: Optional[str] = None
-    seed: int = field(default=0)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -202,18 +199,10 @@ def _cmd_primes(args, cfg: RunConfig) -> None:
 
 
 def _cmd_carmichael(args, cfg: RunConfig) -> None:
-    from .arith import factorize
-
     c = ExponentC.parse(args.c)
     if args.carm_cmd == "search":
-        if args.all:
-            lines = []
-            for N in carm.carmichael_numbers_up_to(args.limit):
-                fm = factorize(N)
-                status = tuple(is_ps_value(p, c).is_member for p in fm.primes())
-                lines.append(carm.CarmichaelRecord(N, fm, status).to_json_line(c))
-        else:
-            lines = [r.to_json_line(c) for r in carm.search_ps_carmichael(args.limit, c)]
+        records = carm.search_ps_carmichael(args.limit, c, require_all=not args.all)
+        lines = [r.to_json_line(c) for r in records]
         _write("\n".join(lines) if lines else "", cfg.output)
     elif args.carm_cmd == "check":
         rec = carm.is_ps_carmichael(args.N, c)
@@ -407,8 +396,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if threads is None:
         threads = int(os.environ.get("PSLAB_THREADS", "1"))
     cfg = RunConfig(
-        subcommand=args.group,
-        params={k: v for k, v in vars(args).items() if v is not None},
         threads=max(threads, 1),
         fmt=getattr(args, "fmt", "csv"),
         output=getattr(args, "output", None),

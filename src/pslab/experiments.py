@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import SieveCache, factorize, is_squarefree_bulk, primes_up_to
+from .arith import SQUAREFREE_BULK_MAX, SieveCache, factorize, is_squarefree_bulk, primes_up_to
 from .errors import GuardError, ValidationError
 from .pscore import ExponentC, floor_pow, floor_pow_bulk, is_ps_value
 
@@ -88,16 +88,14 @@ def squarefree_density(x: int, c: ExponentC, threads: int = 1) -> ExperimentRepo
         raise ValidationError("x must be >= 1")
     if x > 10**7:
         raise GuardError(f"x={x} exceeds the squarefree guard 10^7")
+    if floor_pow(x, c) > SQUAREFREE_BULK_MAX:
+        raise GuardError(f"floor({x}^{c}) exceeds the squarefree guard {SQUAREFREE_BULK_MAX:.0e}")
     from fractions import Fraction
 
     if not (1 < Fraction(c.p, c.q) < Fraction(149, 87)):
         warnings.warn(f"c={c} outside (1, 149/87); the density claim is unproven there")
     t0 = time.perf_counter()
-    vals = _values_upto(x, c, threads)
-    if vals.dtype == object:
-        observed = sum(1 for v in vals if factorize(int(v)).is_squarefree())
-    else:
-        observed = int(np.sum(is_squarefree_bulk(vals)))
+    observed = int(np.sum(is_squarefree_bulk(_values_upto(x, c, threads))))
     report = ExperimentReport(
         "squarefree_density",
         {"x": x, "c": str(c)},
@@ -274,10 +272,7 @@ def residue_equidistribution(
     t0 = time.perf_counter()
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     vals = floor_pow_bulk(ns, c)
-    if vals.dtype == object:
-        observed = sum(1 for v in vals if int(v) % q == a % q)
-    else:
-        observed = int(np.sum(vals % q == a % q))
+    observed = int(np.sum(vals % q == a % q))
     report = ExperimentReport(
         "residue_equidistribution",
         {"N": N, "c": str(c), "q": q, "a": a},

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GuardError, ValidationError
 
-DECOMPOSITION_CHUNK = 1 << 16  # fixed reduction chunk, keeps float sums deterministic
+CHUNK = 1 << 16  # fixed reduction and generation chunk, keeps float sums deterministic
 DECOMPOSITION_K_GUARD = 10**8
 
 
@@ -147,6 +147,7 @@ def ps_values_in(lo: int, hi: int, c: ExponentC) -> Iterator[PsWitness]:
 
     Iterates the preimage n directly: floor(n^c) is strictly increasing for
     c > 1, so each n contributes at most one value and order is automatic.
+    Unlike ps_value_chunks it serves preimages of any size.
     """
     if lo < 1 or hi < lo:
         raise ValidationError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -190,15 +191,16 @@ def count_decomposition(
 
     main = 0.0
     correction = 0.0
-    for start in range(1, K + 1, DECOMPOSITION_CHUNK):
-        ks = np.arange(start, min(start + DECOMPOSITION_CHUNK, K + 1), dtype=np.float64)
+    for start in range(1, K + 1, CHUNK):
+        ks = np.arange(start, min(start + CHUNK, K + 1), dtype=np.float64)
         w = np.asarray(z(ks), dtype=np.float64)
         main += float(np.sum(w * ks ** (gamma - 1.0)))
         correction += float(np.sum(w * (psi(-((ks + 1.0) ** gamma)) - psi(-(ks**gamma)))))
     main *= gamma
 
-    members = np.array([w.value for w in ps_values_in(1, K, c)], dtype=np.float64)
-    exact = float(np.sum(np.asarray(z(members), dtype=np.float64))) if members.size else 0.0
+    exact = 0.0
+    for vals in ps_value_chunks(K, c):
+        exact += float(np.sum(np.asarray(z(vals.astype(np.float64)), dtype=np.float64)))
     return main, correction, exact
 
 
@@ -253,3 +255,13 @@ def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
         return k
 
     return np.array([floor_pow(int(n), c) for n in ns], dtype=object)
+
+
+def ps_value_chunks(X: int, c: ExponentC) -> Iterator[np.ndarray]:
+    """The values floor(n^c) <= X in increasing order, one array per 2^16
+    consecutive preimages n = 1, 2, ...; the last preimage is the largest n
+    with n^p < (X+1)^q, found exactly, so no value is missed at the boundary.
+    """
+    n_max = integer_root((X + 1) ** c.q - 1, c.p)
+    for lo in range(1, n_max + 1, CHUNK):
+        yield floor_pow_bulk(np.arange(lo, min(lo + CHUNK, n_max + 1), dtype=np.int64), c)

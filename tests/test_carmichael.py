@@ -43,6 +43,15 @@ def test_classical_search():
     assert carmichael_numbers_up_to(561) == [561]
 
 
+def test_pinch_counts():
+    # R. G. E. Pinch's counts of Carmichael numbers up to 10^6 and 10^7
+    hits = carmichael_numbers_up_to(10**7)
+    assert sum(1 for N in hits if N <= 10**6) == 43
+    assert len(carmichael_numbers_up_to(10**6)) == 43
+    assert len(hits) == 105
+    assert all(korselt(N) for N in hits)
+
+
 def test_search_ps_filter_near_one():
     records = search_ps_carmichael(10**4, C_NEAR_ONE)
     assert [r.N for r in records] == CLASSICS_1E4  # every factor is a value at c ~ 1

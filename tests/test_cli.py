@@ -110,6 +110,14 @@ def test_carmichael_search_json_lines(capsys):
     assert objs[0]["factors"] == [3, 11, 17]
 
 
+def test_carmichael_search_all_keeps_non_members(capsys):
+    code, out, _ = run(capsys, "carmichael", "search", "--limit", "2000", "--c", "3/2", "--all")
+    assert code == 0
+    objs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [o["N"] for o in objs] == [561, 1105, 1729]
+    assert objs[0]["factors"] == [3, 11, 17] and objs[0]["ps"][0] is False
+
+
 def test_sum_eval_and_bounds(capsys):
     inst = json.dumps(
         {"phase": {"A": 0.2, "exponents": [[0, 2.0]]}, "ranges": [[5, False]], "seed": None}

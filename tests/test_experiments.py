@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ def test_squarefree_ratio_trend():
 def test_squarefree_warns_outside_range():
     with pytest.warns(UserWarning):
         squarefree_density(100, ExponentC(9, 5))
+
+
+def test_squarefree_refuses_values_beyond_bulk_test_at_once():
+    for c in (ExponentC(7, 4), ExponentC(19, 10)):  # values up to 1.8e12 and 2e13
+        t0 = time.perf_counter()
+        with pytest.raises(GuardError):
+            squarefree_density(10**7, c)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_chebyshev_hand_values():
@@ -162,6 +171,15 @@ def test_residue_equidistribution_acceptance_band():
         for a in range(7)
     ]
     assert max(devs) <= 0.02
+
+
+def test_residue_counts_big_values_exactly():
+    # values beyond 5e12 come back as Python integers (object array)
+    c, N = ExponentC(5, 2), 70_000
+    want = [0, 0]
+    for n in range(N + 1, 2 * N + 1):
+        want[floor_pow(n, c) % 2] += 1
+    assert [residue_equidistribution(N, c, 2, a).observed for a in (0, 1)] == want
 
 
 def test_residue_guard():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab import (
     ExponentC,
@@ -165,3 +167,17 @@ def test_floor_pow_bulk_big_value_fallback():
     ns = np.array([10**6, 10**6 + 1], dtype=np.int64)
     bulk = floor_pow_bulk(ns, c)
     assert int(bulk[0]) == floor_pow(10**6, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.sampled_from(C_CORPUS),
+    k=st.integers(1, 2 * 10**4),
+    delta=st.sampled_from([-1, 0, 1]),
+)
+def test_decomposition_exact_part_counts_the_values(c, k, delta):
+    # K at a value boundary: floor(n^c) - 1, floor(n^c), floor(n^c) + 1 for n ~ k^(1/c)
+    n = max(integer_root(k**c.q, c.p), 1)
+    K = max(floor_pow(n, c) + delta, 1)
+    exact = count_decomposition(K, c, np.ones_like)[2]
+    assert exact == len(list(ps_values_in(1, K, c)))

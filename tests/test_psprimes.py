@@ -2,22 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab import (
     ApQuery,
     ExponentC,
     GuardError,
+    RouteDisagreementError,
     ValidationError,
     ap_main_term,
     brun_titchmarsh_report,
+    floor_pow,
+    integer_root,
+    is_ps_value,
     pi_ap,
     pi_c_ap,
     ps_primes_up_to,
     theta_ap,
+    primes_up_to,
     vartheta_c_ap,
 )
+from pslab import psprimes
 
 C32 = ExponentC(3, 2)
+GENERATION_CORPUS = [
+    ExponentC(*pq) for pq in [(3, 2), (21, 20), (11, 10), (17, 10), (5, 3), (5, 2), (1001, 1000)]
+]
 
 
 def test_pi_ap_examples():
@@ -129,3 +140,31 @@ def test_brun_titchmarsh_sweep_envelope():
     ]
     assert all(math.isfinite(r) for r in ratios)
     assert max(ratios) <= 5.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ps_primes_match_witness_filter_at_value_boundaries(data):
+    c = data.draw(st.sampled_from(GENERATION_CORPUS))
+    # is_ps_value is slow on the 1000th powers of c = 1001/1000
+    k = data.draw(st.integers(2, 600 if c.q == 1000 else 5000))
+    n = max(integer_root(k**c.q, c.p), 2)
+    x = max(floor_pow(n, c) + data.draw(st.sampled_from([-1, 0, 1])), 2)
+    want = [int(p) for p in primes_up_to(x).primes if is_ps_value(int(p), c).is_member]
+    assert ps_primes_up_to(x, c).tolist() == want
+
+
+def test_dropped_member_is_a_route_disagreement(monkeypatch):
+    generate = psprimes.ps_value_chunks
+
+    def without_two(X, c):  # 2 = floor(2^(3/2)) is the first prime, always sampled
+        for vals in generate(X, c):
+            yield vals[vals != 2]
+
+    monkeypatch.setattr(psprimes, "ps_value_chunks", without_two)
+    psprimes._ps_prime_mask_cached.cache_clear()
+    try:
+        with pytest.raises(RouteDisagreementError):
+            ps_primes_up_to(1000, C32)
+    finally:
+        psprimes._ps_prime_mask_cached.cache_clear()
