@@ -9,6 +9,7 @@ import numpy as np
 
 from pslab import (
     ExponentC,
+    GuardError,
     chebyshev_sum,
     large_pf_exceed,
     lpf_exponent,
@@ -28,11 +29,13 @@ def main() -> None:
               f"({r.runtime_ms} ms)")
 
     print("\n== Chebyshev-style sum over distinct prime divisors ==")
-    c65 = ExponentC.parse("6/5")
-    for x in (10**4, 10**5):
-        r = chebyshev_sum(x, c65)
-        print(f"  x={x:>7}: observed={r.observed:14.1f} "
-              f"reference=c*x*(log x - 1)={r.reference:14.1f} ratio={r.ratio:.4f}")
+    print("one trial-division pass factors every value up to 10^12, so any c in (1, 2) runs:")
+    for cs in ("6/5", "19/10"):
+        for x in (10**4, 10**5):
+            r = chebyshev_sum(x, ExponentC.parse(cs))
+            print(f"  c={cs:>5} x={x:>7}: observed={r.observed:14.1f} "
+                  f"reference=c*x*(log x - 1)={r.reference:14.1f} ratio={r.ratio:.4f} "
+                  f"({r.runtime_ms} ms)")
 
     print("\n== smooth values: P(floor(n^c)) <= n^eps ==")
     c1110 = ExponentC.parse("11/10")
@@ -47,7 +50,11 @@ def main() -> None:
     print(f"  fraction of n <= 1e5 with P(floor(n^1.5)) > n^(theta-0.05), "
           f"theta={theta:.4f}: {r.observed / 10**5:.4f}")
     dec = ", ".join(f"{k}: {r.extras[f'd{k}0']:.3f}" for k in range(1, 10))
-    print(f"  deciles of log P / log n: {dec}")
+    print(f"  deciles of log P / log n: {dec} ({r.runtime_ms} ms)")
+    try:
+        large_pf_exceed(10**6, ExponentC.parse("5/2"), theta, 0.05)
+    except GuardError as exc:
+        print(f"  c=5/2, x=1e6 is refused before any value is generated: {exc}")
 
     print("\n== square divisibility in dyadic blocks ==")
     for D in (2, 5, 20):

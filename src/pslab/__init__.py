@@ -4,8 +4,10 @@ Piatetski-Shapiro sequences floor(n^c) with rational non-integer c > 1.
 
 from .arith import (
     FactorMap,
+    FactorStream,
     SieveCache,
     euler_phi,
+    factor_stream,
     factorize,
     is_prime,
     is_squarefree,

@@ -4,11 +4,13 @@ Everything here is deterministic: primality uses a fixed strong-probable-
 prime base set that is proven complete below 3.3e24, and the rho cycle
 finder uses the fixed polynomial x^2 + 1 with deterministic restart
 increments, so repeated runs factor every input identically.
+``factor_stream`` factors a whole value array with one vectorized
+trial-division pass and the same rho for the cofactors it must split.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import fsum, gcd, isqrt, log
 from typing import Optional
 
 import numpy as np
@@ -19,7 +21,9 @@ SIEVE_LIMIT_GUARD = 10**9
 SPF_LIMIT_GUARD = 10**8
 FACTOR_GUARD = 10**14
 MOBIUS_LIMIT_GUARD = 10**8
-SQUAREFREE_BULK_MAX = 10**12  # its cube root, 10^4, is the end of _SMALL_PRIMES
+# factor_stream's limit: its cube root, 10^4, ends _SMALL_PRIMES, and it lies
+# below both 2^40 (_mulmod) and 1.122e12 (_MR_BASES)
+SQUAREFREE_BULK_MAX = 10**12
 SEGMENT_SIZE = 1 << 18  # 256 KiB segments keep the sieve cache-resident
 
 # strong-probable-prime bases covering all n < 3.317e24 (first 13 primes)
@@ -253,36 +257,157 @@ def is_squarefree(m: int, cache: Optional[SieveCache] = None) -> bool:
     return factorize(m, cache).is_squarefree()
 
 
-def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:
-    """Vectorized squarefree test for int64 values up to SQUAREFREE_BULK_MAX.
+@dataclass(frozen=True)
+class FactorStream:
+    """Multiplicative data of a value array, from one trial-division pass.
 
-    Divides out the primes below cbrt(max); the remaining cofactor has at
-    most two prime factors, so it is non-squarefree exactly when it is a
-    perfect square > 1.
+    Every prime up to ``bound`` = floor(cbrt(max value)) has been divided
+    out; ``hits[i]`` counts the values divisible by ``primes[i]``.  Each
+    prime factor of a ``cofactor`` exceeds the bound, and a product of three
+    would exceed the largest value: a cofactor is 1, a prime, p^2 or pq.
     """
-    v = np.asarray(values, dtype=np.int64).copy()
-    if v.size == 0:
-        return np.zeros(0, dtype=bool)
-    if int(v.min()) < 1:
-        raise ValidationError("is_squarefree_bulk requires values >= 1")
-    v_max = int(v.max())
-    if v_max > SQUAREFREE_BULK_MAX:
-        raise GuardError(f"is_squarefree_bulk supports values up to {SQUAREFREE_BULK_MAX}")
 
-    bad = np.zeros(v.shape, dtype=bool)
-    cbrt = int(round(v_max ** (1.0 / 3.0))) + 2
-    for p in _SMALL_PRIMES:
-        p = int(p)
-        if p > cbrt:
+    bound: int
+    primes: np.ndarray      # the primes up to the bound, ascending
+    hits: np.ndarray        # hits[i] = #{values divisible by primes[i]}
+    small_max: np.ndarray   # int16: largest prime up to the bound dividing each value, 1 if none
+    cofactor: np.ndarray    # int64
+    root: np.ndarray        # isqrt(cofactor)
+    squarefree: np.ndarray  # bool
+
+    @property
+    def square(self) -> np.ndarray:
+        """Cofactors of the form p^2."""
+        return (self.cofactor > 1) & (self.root * self.root == self.cofactor)
+
+    @property
+    def log_sum(self) -> float:
+        """sum over values of log p over the distinct primes p | value.
+
+        A cofactor contributes log r, or log sqrt(r) when r = p^2, so none
+        is split; math.fsum makes the total independent of order.
+        """
+        r = np.where(self.square, self.root, self.cofactor)
+        terms = [h * log(p) for p, h in zip(self.primes.tolist(), self.hits.tolist()) if h]
+        return fsum(terms + np.log(r[r > 1].astype(np.float64)).tolist())
+
+    def largest_prime(self) -> np.ndarray:
+        """P(value) for every value, 1 for the value 1.
+
+        Miller-Rabin tells a prime cofactor from pq; only the pq cofactors
+        are split, by the deterministic rho.  A pq cofactor exceeds
+        (bound+1)^2, so the test runs only above it.
+        """
+        out = self.small_max.astype(np.int64)
+        sq = self.square
+        out[sq] = self.root[sq]
+        idx = np.flatnonzero((self.cofactor > 1) & ~sq)
+        r = self.cofactor[idx]
+        out[idx] = r
+        maybe_pq = np.flatnonzero(r > (self.bound + 1) ** 2)
+        for i in maybe_pq[~_is_sprp_bulk(r[maybe_pq])].tolist():
+            n = int(r[i])
+            d = _rho_split(n)
+            out[idx[i]] = max(d, n // d)
+        return out
+
+
+# Jaeschke (Math. Comp. 61, 1993): no composite below 1.122e12 is a strong
+# probable prime to all four bases
+_MR_BASES = (2, 13, 23, 1662803)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a*b mod n elementwise for 0 <= a, b < n < 2^40, exact in int64:
+    b splits into 20-bit halves, so no product reaches 2^61."""
+    hi = (a * (b >> 20)) % n
+    return ((hi << 20) + a * (b & 0xFFFFF)) % n
+
+
+def _is_sprp_bulk(n: np.ndarray) -> np.ndarray:
+    """Primality of int64 n with 4 < n < 2^40 by strong probable-prime
+    tests to _MR_BASES (an even n fails base 2); deterministic below 1.122e12."""
+    d = n - 1
+    s = np.zeros(n.shape, dtype=np.int64)
+    while True:
+        even = (d & 1) == 0
+        if not even.any():
             break
-        bad |= v % (p * p) == 0
-        div = v % p == 0
-        v[div] //= p
-    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    r = np.where((r + 1) ** 2 <= v, r + 1, r)
-    r = np.where(r * r > v, r - 1, r)
-    bad |= (v > 1) & (r * r == v)
-    return ~bad
+        d = np.where(even, d >> 1, d)
+        s += even
+    ok = np.ones(n.shape, dtype=bool)
+    for a in _MR_BASES:
+        b = a % n
+        divides_base = b == 0
+        x = np.ones_like(n)
+        e = d.copy()
+        while e.any():
+            x = np.where(e & 1, _mulmod(x, b, n), x)
+            b = _mulmod(b, b, n)
+            e >>= 1
+        passed = divides_base | (x == 1) | (x == n - 1)
+        for k in range(1, int(s.max(initial=0))):
+            x = _mulmod(x, x, n)
+            passed |= (k < s) & (x == n - 1)
+        ok &= passed
+    return ok
+
+
+def factor_stream(values: np.ndarray) -> FactorStream:
+    """Exact FactorStream of int64 values in [1, SQUAREFREE_BULK_MAX].
+
+    One floor-divide pass per prime up to cbrt(max) finds the values it
+    divides; the p^2 test and the full divide-out touch only those.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    if v.size and int(v.min()) < 1:
+        raise ValidationError("factor_stream requires values >= 1")
+    v_max = int(v.max()) if v.size else 1
+    if v_max > SQUAREFREE_BULK_MAX:
+        raise GuardError(f"factor_stream supports values up to {SQUAREFREE_BULK_MAX}")
+    bound = round(v_max ** (1.0 / 3.0))
+    while bound**3 > v_max:
+        bound -= 1
+    while (bound + 1) ** 3 <= v_max:
+        bound += 1
+    primes = _SMALL_PRIMES[: int(np.searchsorted(_SMALL_PRIMES, bound, side="right"))]
+
+    # int32 halves the cost of the pass whenever the values fit
+    r = v.astype(np.int32 if v_max < 2**31 else np.int64)
+    q = np.empty_like(r)
+    hit = np.empty(r.shape, dtype=bool)
+    squarefree = np.ones(r.shape, dtype=bool)
+    small_max = np.ones(r.shape, dtype=np.int16)  # the primes end below 2^15
+    hits = np.zeros(primes.size, dtype=np.int64)
+    for i, p in enumerate(primes.tolist()):
+        np.floor_divide(r, p, out=q)
+        np.multiply(q, p, out=q)
+        np.equal(q, r, out=hit)
+        idx = np.flatnonzero(hit)
+        if idx.size == 0:
+            continue
+        hits[i] = idx.size
+        small_max[idx] = p
+        sub = r[idx] // p
+        again = np.flatnonzero(sub % p == 0)
+        squarefree[idx[again]] = False
+        while again.size:
+            sub[again] //= p
+            again = again[sub[again] % p == 0]
+        r[idx] = sub
+    del q, hit
+
+    r = r.astype(np.int64)
+    root = np.sqrt(r).astype(np.int64)
+    root += (root + 1) ** 2 <= r
+    root -= root * root > r
+    squarefree &= (r == 1) | (root * root != r)
+    return FactorStream(bound, primes, hits, small_max, r, root, squarefree)
+
+
+def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:
+    """Vectorized squarefree test for int64 values up to SQUAREFREE_BULK_MAX."""
+    return factor_stream(values).squarefree
 
 
 def mobius_up_to(limit: int) -> np.ndarray:

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import SQUAREFREE_BULK_MAX, SieveCache, factorize, is_squarefree_bulk, primes_up_to
+from .arith import SQUAREFREE_BULK_MAX, factor_stream, is_squarefree_bulk
+from .arith import factorize, primes_up_to  # unused here; perfbench/tracing.py wraps these names
 from .errors import GuardError, ValidationError
 from .pscore import ExponentC, floor_pow, floor_pow_bulk, is_ps_value
 
@@ -82,14 +83,19 @@ def _values_upto(x: int, c: ExponentC, threads: int = 1) -> np.ndarray:
     return floor_pow_bulk(ns, c)
 
 
+def _check_values(x: int, c: ExponentC) -> None:
+    """Refuse, before generating anything, values beyond factor_stream."""
+    if floor_pow(x, c) > SQUAREFREE_BULK_MAX:
+        raise GuardError(f"floor({x}^{c}) exceeds the factorization guard {SQUAREFREE_BULK_MAX:.0e}")
+
+
 def squarefree_density(x: int, c: ExponentC, threads: int = 1) -> ExperimentReport:
     """#{n <= x : floor(n^c) squarefree} against the density (6/pi^2) x."""
     if x < 1:
         raise ValidationError("x must be >= 1")
     if x > 10**7:
         raise GuardError(f"x={x} exceeds the squarefree guard 10^7")
-    if floor_pow(x, c) > SQUAREFREE_BULK_MAX:
-        raise GuardError(f"floor({x}^{c}) exceeds the squarefree guard {SQUAREFREE_BULK_MAX:.0e}")
+    _check_values(x, c)
     from fractions import Fraction
 
     if not (1 < Fraction(c.p, c.q) < Fraction(149, 87)):
@@ -106,24 +112,6 @@ def squarefree_density(x: int, c: ExponentC, threads: int = 1) -> ExperimentRepo
     return report
 
 
-def _distinct_prime_log_sum(vals: np.ndarray, cache: SieveCache) -> float:
-    """sum over values of sum of log p over distinct primes p | value."""
-    logs = 0.0
-    spf = cache.spf
-    part = 0.0
-    for i, v in enumerate(vals):
-        m = int(v)
-        while m > 1:
-            p = int(spf[m])
-            part += log(p)
-            while m % p == 0:
-                m //= p
-        if (i + 1) % CHUNK == 0:
-            logs += part
-            part = 0.0
-    return logs + part
-
-
 def chebyshev_sum(x: int, c: ExponentC, threads: int = 1) -> ExperimentReport:
     """sum_{n<=x} sum_{p | floor(n^c)} log p against c*x*(log x - 1).
 
@@ -135,38 +123,14 @@ def chebyshev_sum(x: int, c: ExponentC, threads: int = 1) -> ExperimentReport:
         raise ValidationError("x must be >= 1")
     if x > 10**6:
         raise GuardError(f"x={x} exceeds the Chebyshev guard 10^6")
+    _check_values(x, c)
     t0 = time.perf_counter()
-    vals = _values_upto(x, c, threads)
-    vmax = int(vals.max()) if x > 0 else 1
-    if vmax > 10**7:
-        raise GuardError("values exceed the smallest-prime-factor table guard")
-    cache = primes_up_to(vmax, with_spf=True)
-    observed = _distinct_prime_log_sum(vals, cache)
+    observed = factor_stream(_values_upto(x, c, threads)).log_sum
     report = ExperimentReport(
         "chebyshev_sum", {"x": x, "c": str(c)}, observed, c.as_float * x * (log(x) - 1.0)
     )
     report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return report
-
-
-def _largest_prime_factors(vals: np.ndarray) -> np.ndarray:
-    """P(value) for every value (values must exceed 1)."""
-    vmax = int(vals.max())
-    if vmax <= 10**7:
-        cache = primes_up_to(vmax, with_spf=True)
-        spf = cache.spf
-        out = np.empty(vals.size, dtype=np.int64)
-        for i, v in enumerate(vals):
-            m = int(v)
-            big = 1
-            while m > 1:
-                p = int(spf[m])
-                big = p if p > big else big
-                while m % p == 0:
-                    m //= p
-            out[i] = big
-        return out
-    return np.array([factorize(int(v)).max_prime() for v in vals], dtype=np.int64)
 
 
 def smooth_count(x: int, c: ExponentC, eps: float, threads: int = 1) -> ExperimentReport:
@@ -177,10 +141,10 @@ def smooth_count(x: int, c: ExponentC, eps: float, threads: int = 1) -> Experime
         raise ValidationError("x must be >= 2")
     if x > 10**6:
         raise GuardError(f"x={x} exceeds the smooth-count guard 10^6")
+    _check_values(x, c)
     t0 = time.perf_counter()
     ns = np.arange(2, x + 1, dtype=np.int64)
-    vals = _values_upto(x, c, threads)[1:]
-    P = _largest_prime_factors(vals)
+    P = factor_stream(_values_upto(x, c, threads)[1:]).largest_prime()
     observed = int(np.sum(P.astype(np.float64) <= ns.astype(np.float64) ** eps))
     report = ExperimentReport(
         "smooth_count", {"x": x, "c": str(c), "eps": eps}, float(observed), float(x) ** (1.0 - eps)
@@ -201,10 +165,10 @@ def large_pf_exceed(
         raise ValidationError("x must be >= 2")
     if x > 10**6:
         raise GuardError(f"x={x} exceeds the guard 10^6")
+    _check_values(x, c)
     t0 = time.perf_counter()
     ns = np.arange(2, x + 1, dtype=np.int64)
-    vals = _values_upto(x, c, threads)[1:]
-    P = _largest_prime_factors(vals).astype(np.float64)
+    P = factor_stream(_values_upto(x, c, threads)[1:]).largest_prime().astype(np.float64)
     observed = int(np.sum(P > ns.astype(np.float64) ** (theta - eps)))
     exponents = np.log(P) / np.log(ns.astype(np.float64))
     deciles = {f"d{k}0": float(np.percentile(exponents, 10 * k)) for k in range(1, 10)}

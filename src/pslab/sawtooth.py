@@ -14,14 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GuardError, ValidationError
 
 VAALER_H_GUARD = 10**5
+# len(t) * H matrix cells; at the limit approx and majorant peak at 0.8 GB
+# (float64) and erdos_turan_rhs at 1.6 GB (complex128), measured at 10^5 x 500
+SAWTOOTH_CELLS_GUARD = 5 * 10**7
 
 
 def psi(t):
     """psi(t) = {t} - 1/2, in [-1/2, 1/2); scalar or ndarray."""
     return t - np.floor(t) - 0.5
+
+
+def _check_cells(points: int, H: int) -> None:
+    if points * H > SAWTOOTH_CELLS_GUARD:
+        raise GuardError(
+            f"{points} points x H={H} exceeds the guard of {SAWTOOTH_CELLS_GUARD:.0e} matrix cells"
+        )
 
 
 def _multiplier(t: np.ndarray) -> np.ndarray:
@@ -45,6 +55,7 @@ class VaalerKernel:
     def approx(self, t) -> np.ndarray:
         """sum c_h e(th); real-valued since c_{-h} = conj(c_h)."""
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        _check_cells(t.size, self.H)
         h = np.arange(1, self.H + 1, dtype=np.float64)
         w = np.array([self.c_coeffs[k].imag for k in range(1, self.H + 1)])
         # purely imaginary coefficients make the sum a sine series
@@ -53,6 +64,7 @@ class VaalerKernel:
     def majorant(self, t) -> np.ndarray:
         """sum d_h e(th) >= |psi - approx| pointwise."""
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        _check_cells(t.size, self.H)
         h = np.arange(1, self.H + 1, dtype=np.float64)
         w = np.array([self.d_coeffs[k] for k in range(1, self.H + 1)])
         return self.d_coeffs[0] + 2.0 * np.cos(2.0 * np.pi * np.outer(t, h)) @ w
@@ -102,6 +114,7 @@ def erdos_turan_rhs(points, H: int) -> float:
     t = np.asarray(points, dtype=np.float64)
     if t.size == 0:
         raise ValidationError("erdos_turan_rhs needs at least one point")
+    _check_cells(t.size, H)
     hs = np.arange(1, H + 1, dtype=np.float64)
     S = np.abs(np.exp(2j * np.pi * np.outer(t, hs)).sum(axis=0))
     return float(t.size / (H + 1) + 3.0 * np.sum(S / hs))

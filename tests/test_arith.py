@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab import (
     GuardError,
     ValidationError,
     euler_phi,
+    factor_stream,
     factorize,
     is_prime,
     is_squarefree,
@@ -121,6 +126,81 @@ def test_is_squarefree_bulk_matches_slow():
     bulk = is_squarefree_bulk(vals)
     for v, b in zip(vals, bulk):
         assert bool(b) == is_squarefree(int(v))
+
+
+def _assert_matches_factorize(values):
+    """Every factor_stream field against the scalar factorize route."""
+    fs = factor_stream(np.array(values, dtype=np.int64))
+    fms = [factorize(int(v)) for v in values]
+    assert fs.squarefree.tolist() == [f.is_squarefree() for f in fms]
+    assert fs.largest_prime().tolist() == [f.max_prime() if f.entries else 1 for f in fms]
+    logs = math.fsum(math.log(p) for f in fms for p in f.primes())
+    assert fs.log_sum == pytest.approx(logs, rel=1e-12, abs=0.0)
+
+
+# trial division stops at cbrt(10^12) = 10^4; 10007 is the first prime above,
+# 9973 the last one below
+FACTOR_STREAM_EDGES = [
+    [1],
+    [2, 3, 5, 7, 9973, 10007, 999999999989],
+    [10007**2, 10**12],              # p^2 cofactor, p the first prime above the bound
+    [2 * 10007**2, 10**12],
+    [10007 * 10009, 10**12],         # pq, both above the bound
+    [999983 * 1000003, 10**12],
+    [10**12, 10**12 - 1, 999999999989, 2**39],
+    [9973**3],                       # p^3, p the last prime of the bound
+    [343],                           # 7^3, bound 7
+    [9973**2 * 7, 10**12],
+    [4, 5, 6, 7],                    # bound 1: 4 = 2^2 and 6 = 2*3 are cofactors
+    [13, 23],                        # prime cofactors that are Miller-Rabin bases
+    [1662803],
+]
+# pq cofactors of their own one-value stream.  Strong pseudoprimes to base 2:
+# 2047, 1373653, 25326001 and 4759123141 (also to 13 and 23).  Each of the
+# last four fails exactly one of the bases 2, 13, 23, 1662803, in that order.
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 4759123141,
+                       97071211, 4033, 16705021, 2510569]
+
+
+@pytest.mark.parametrize("values", FACTOR_STREAM_EDGES + [[n] for n in STRONG_PSEUDOPRIMES])
+def test_factor_stream_edge_cases(values):
+    _assert_matches_factorize(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10**12), min_size=1, max_size=40))
+def test_factor_stream_matches_factorize(values):
+    _assert_matches_factorize(values)
+
+
+_COFACTOR_PRIMES = primes_up_to(2 * 10**6).primes[::211].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_COFACTOR_PRIMES),
+            st.sampled_from(_COFACTOR_PRIMES),
+            st.integers(1, 60),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_factor_stream_products_of_large_primes(triples):
+    # p*q*k puts prime, p^2 and pq cofactors on both sides of the bound
+    values = [p * q * k for p, q, k in triples if p * q * k <= 10**12]
+    if values:
+        _assert_matches_factorize(values)
+
+
+def test_factor_stream_refuses_out_of_range_values():
+    with pytest.raises(GuardError):
+        factor_stream(np.array([10**12 + 1], dtype=np.int64))
+    with pytest.raises(ValidationError):
+        factor_stream(np.array([0, 5], dtype=np.int64))
+    assert factor_stream(np.zeros(0, dtype=np.int64)).log_sum == 0.0
 
 
 def test_mobius_values():

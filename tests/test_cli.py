@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -133,6 +134,19 @@ def test_sawtooth_commands(capsys):
     assert code == 0 and "ok=True" in out
     code, out, _ = run(capsys, "sawtooth", "discrepancy", "--K", "1000", "--H", "10", "--beta", "0.3")
     assert code == 0 and "ok=True" in out
+
+
+def test_sawtooth_refuses_oversized_kernel_matrix_at_once(capsys):
+    # the default 100001-point grid at H = 10^5 would ask for a 10^10-cell matrix
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "sawtooth", "vaaler-check", "--H", "100000")
+    assert code == 3 and "guard" in err.lower()
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_experiment_chebyshev_reaches_c_near_two(capsys):
+    code, out, _ = run(capsys, "experiment", "chebyshev", "--x", "20000", "--c", "19/10")
+    assert code == 0 and out.splitlines()[1].startswith("chebyshev_sum,")
 
 
 def test_exit_code_validation_error(capsys):

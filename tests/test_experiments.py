@@ -78,6 +78,18 @@ def test_chebyshev_matches_slow_oracle():
     assert chebyshev_sum(x, C1110).observed == pytest.approx(expected, rel=1e-9)
 
 
+def test_chebyshev_matches_slow_oracle_near_c_two():
+    # values reach 1.8e6 here and 2.5e11 at the x = 10^6 guard, both within
+    # factor_stream's 10^12
+    from pslab import factorize
+
+    c = ExponentC(19, 10)
+    expected = math.fsum(
+        math.log(p) for n in range(1, 2001) for p in factorize(floor_pow(n, c)).primes()
+    )
+    assert chebyshev_sum(2000, c).observed == pytest.approx(expected, rel=1e-12)
+
+
 def test_chebyshev_acceptance_band():
     r = chebyshev_sum(10**5, ExponentC(6, 5))
     assert 0.90 <= r.ratio <= 1.05
@@ -125,6 +137,19 @@ def test_large_pf_theta_c_matches_prime_values():
     assert int(r.observed) == strict
     prime_values = pi_c_ap(ApQuery(floor_pow(x, C32), 1, 0, C32))
     assert int(r.observed) <= prime_values
+
+
+def test_largest_prime_harnesses_refuse_values_beyond_factor_stream_at_once():
+    c = ExponentC(5, 2)  # values up to 10^15
+    for call in (
+        lambda: large_pf_exceed(10**6, c, 0.5, 0.05),
+        lambda: smooth_count(10**6, c, 0.5),
+        lambda: chebyshev_sum(10**6, c),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(GuardError):
+            call()
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_large_pf_deciles_present():

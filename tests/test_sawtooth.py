@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pslab import (
+    GuardError,
     ValidationError,
     discrepancy_lhs,
     erdos_turan_rhs,
@@ -74,6 +75,17 @@ def test_vaaler_guard():
         vaaler_kernel(0)
     with pytest.raises(ValidationError):
         vaaler_kernel(10**5 + 1)
+
+
+def test_kernel_matrices_refused_before_allocation():
+    from pslab.sawtooth import SAWTOOTH_CELLS_GUARD
+
+    H = 100
+    t = np.zeros(SAWTOOTH_CELLS_GUARD // H + 1)  # one row past the guard
+    k = vaaler_kernel(H)
+    for call in (k.approx, k.majorant, lambda pts: erdos_turan_rhs(pts, H)):
+        with pytest.raises(GuardError):
+            call(t)
 
 
 def test_discrepancy_examples():
