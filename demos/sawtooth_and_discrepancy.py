@@ -11,7 +11,7 @@ def main() -> None:
     print("== degree-H sawtooth approximation ==")
     print("|psi(t) - sum c_h e(th)| <= sum d_h e(th) pointwise, with")
     print("|c_h| <= 1/(pi h) and d_h <= 1/(H+1):")
-    # 40005 points keep len(grid) * H at H = 1000 under the kernels' matrix-cell guard
+    # 40005 points keep len(grid) * H at H = 1000 under the kernels' SAWTOOTH_CELLS_GUARD
     grid = np.concatenate(
         [np.linspace(0, 1, 40001, endpoint=False), [1e-12, 1e-9, 1 - 1e-9, 1 - 1e-12]]
     )

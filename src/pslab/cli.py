@@ -139,7 +139,7 @@ def _cmd_experiment(args, cfg: RunConfig) -> None:
         cs = [ExponentC.parse(s) for s in args.c_list.split(",")] if args.c_list else [c]
         for ci in cs:
             theta = (
-                float(exppairs.lpf_exponent(Fraction(ci.p, ci.q)))
+                exppairs.lpf_exponent(Fraction(ci.p, ci.q))
                 if args.theta is None
                 else args.theta
             )

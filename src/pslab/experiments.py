@@ -13,8 +13,9 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field
-from math import log
-from typing import Callable, Optional
+from fractions import Fraction
+from math import isfinite, log
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,6 +26,13 @@ from .pscore import ExponentC, floor_pow, floor_pow_bulk, is_ps_value
 
 SIX_OVER_PI_SQUARED = 6.0 / np.pi**2
 CHUNK = 1 << 16
+# P > n^e is decided in float64 only where P is off n^e by more than this
+# relative band.  Where n^e is a finite, normal float64, |e log n| < 710, so
+# rounding e to float64 moves it by under 1e-13 relative, and pow adds a few
+# ulp; P < 2^53 converts exactly.
+POWER_BAND = 2.0**-30
+EXACT_DEN_MAX = 64  # exponents with a denominator up to this compare as P^den vs n^num
+Exponent = Union[float, Fraction]
 
 
 @dataclass
@@ -133,8 +141,51 @@ def chebyshev_sum(x: int, c: ExponentC, threads: int = 1) -> ExperimentReport:
     return report
 
 
-def smooth_count(x: int, c: ExponentC, eps: float, threads: int = 1) -> ExperimentReport:
-    """#{2 <= n <= x : P(floor(n^c)) <= n^eps} against the shape x^(1-eps)."""
+def _exceeds_power_exact(P: int, n: int, e: Fraction) -> bool:
+    if e.denominator <= EXACT_DEN_MAX:
+        num, den = e.numerator, e.denominator
+        return P**den > n**num if num >= 0 else P**den * n**-num > 1
+    from mpmath.ctx_iv import MPIntervalContext
+
+    iv = MPIntervalContext()  # a private context: its precision is ours to raise
+    iv.prec = 64
+    # P = n^e would need n = P^den >= 2^65 (P prime, e = num/den in lowest
+    # terms, den > EXACT_DEN_MAX), beyond int64: the two sides differ, so
+    # the loop ends
+    while True:
+        lhs = iv.log(iv.mpf(P))
+        rhs = iv.mpf(e.numerator) / e.denominator * iv.log(iv.mpf(n))
+        if lhs.a > rhs.b:
+            return True
+        if lhs.b < rhs.a:
+            return False
+        iv.prec *= 2
+
+
+def _exceeds_power(P: np.ndarray, ns: np.ndarray, e: Fraction) -> np.ndarray:
+    """P > n^e elementwise, for primes P and int64 n >= 2, decided exactly.
+
+    The float64 comparison decides every element whose P lies outside a
+    relative POWER_BAND around n^e; the rest are decided in integers as
+    P^den > n^num when e has a denominator up to EXACT_DEN_MAX, and
+    otherwise by interval enclosures of log P and e log n at rising
+    precision.
+    """
+    f = ns.astype(np.float64) ** float(e)
+    Pf = P.astype(np.float64)
+    out = Pf > f
+    band = (np.abs(Pf - f) <= POWER_BAND * f) & np.isfinite(f)
+    for i in np.flatnonzero(band):
+        out[i] = _exceeds_power_exact(int(P[i]), int(ns[i]), e)
+    return out
+
+
+def smooth_count(x: int, c: ExponentC, eps: Exponent, threads: int = 1) -> ExperimentReport:
+    """#{2 <= n <= x : P(floor(n^c)) <= n^eps} against the shape x^(1-eps).
+
+    eps is taken at its exact rational value (a float at its binary value),
+    and the comparison with n^eps is exact.
+    """
     if not (0 < eps <= 1):
         raise ValidationError(f"eps={eps} must lie in (0, 1]")
     if x < 2:
@@ -145,36 +196,43 @@ def smooth_count(x: int, c: ExponentC, eps: float, threads: int = 1) -> Experime
     t0 = time.perf_counter()
     ns = np.arange(2, x + 1, dtype=np.int64)
     P = factor_stream(_values_upto(x, c, threads)[1:]).largest_prime()
-    observed = int(np.sum(P.astype(np.float64) <= ns.astype(np.float64) ** eps))
+    observed = int(np.sum(~_exceeds_power(P, ns, Fraction(eps))))
     report = ExperimentReport(
-        "smooth_count", {"x": x, "c": str(c), "eps": eps}, float(observed), float(x) ** (1.0 - eps)
+        "smooth_count",
+        {"x": x, "c": str(c), "eps": float(eps)},
+        float(observed),
+        float(x) ** (1.0 - float(eps)),
     )
     report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
 def large_pf_exceed(
-    x: int, c: ExponentC, theta: float, eps: float, threads: int = 1
+    x: int, c: ExponentC, theta: Exponent, eps: Exponent, threads: int = 1
 ) -> ExperimentReport:
     """#{2 <= n <= x : P(floor(n^c)) > n^(theta-eps)} against reference x.
 
-    The report's extras carry the deciles of log P(floor(n^c)) / log n,
-    the empirical distribution behind the lower-bound exponent.
+    theta - eps is taken at its exact rational value (floats at their
+    binary values), and the comparison with n^(theta-eps) is exact.  The
+    report's extras carry the deciles of log P(floor(n^c)) / log n, the
+    empirical distribution behind the lower-bound exponent.
     """
     if x < 2:
         raise ValidationError("x must be >= 2")
+    if not (isfinite(theta) and isfinite(eps)):
+        raise ValidationError(f"theta={theta} and eps={eps} must be finite")
     if x > 10**6:
         raise GuardError(f"x={x} exceeds the guard 10^6")
     _check_values(x, c)
     t0 = time.perf_counter()
     ns = np.arange(2, x + 1, dtype=np.int64)
-    P = factor_stream(_values_upto(x, c, threads)[1:]).largest_prime().astype(np.float64)
-    observed = int(np.sum(P > ns.astype(np.float64) ** (theta - eps)))
-    exponents = np.log(P) / np.log(ns.astype(np.float64))
+    P = factor_stream(_values_upto(x, c, threads)[1:]).largest_prime()
+    observed = int(np.sum(_exceeds_power(P, ns, Fraction(theta) - Fraction(eps))))
+    exponents = np.log(P.astype(np.float64)) / np.log(ns.astype(np.float64))
     deciles = {f"d{k}0": float(np.percentile(exponents, 10 * k)) for k in range(1, 10)}
     report = ExperimentReport(
         "large_pf_exceed",
-        {"x": x, "c": str(c), "theta": theta, "eps": eps},
+        {"x": x, "c": str(c), "theta": float(theta), "eps": float(eps)},
         float(observed),
         float(x),
         extras=deciles,

@@ -129,8 +129,8 @@ def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
     """Exact direct summation of sum a*b*e(phase) over the instance ranges.
 
     Terms are evaluated in fixed chunks of 2^16 lattice points; chunk sums
-    use pairwise accumulation and are combined with compensated addition in
-    chunk order, so the value is deterministic for any thread count.
+    use pairwise accumulation and are combined with math.fsum, so the value
+    is deterministic for any thread count.
     """
     if instance.n_terms() > TERM_GUARD:
         raise GuardError(f"{instance.n_terms()} terms exceed the guard {TERM_GUARD}")
@@ -177,15 +177,9 @@ def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
     else:
         partials = [chunk_value(*b) for b in bounds]
 
-    # compensated (Kahan) combination in fixed chunk order
-    s = 0j
-    comp = 0j
-    for p in partials:
-        y = p - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-    return s
+    # math.fsum is correctly rounded: the value does not depend on the order
+    # of the partials, hence not on the thread count
+    return complex(math.fsum(p.real for p in partials), math.fsum(p.imag for p in partials))
 
 
 def _check_bounded(w: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pslab import (
     ExponentC,
     GuardError,
+    ValidationError,
     chebyshev_sum,
     convolution_count,
     floor_pow,
@@ -150,6 +152,28 @@ def test_largest_prime_harnesses_refuse_values_beyond_factor_stream_at_once():
         with pytest.raises(GuardError):
             call()
         assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("c, e", [(C32, Fraction(1, 2)), (ExponentC(4, 3), Fraction(1, 3))])
+def test_largest_prime_comparisons_exact_when_p_equals_n_to_the_e(c, e):
+    # n = m^den makes floor(n^c) = m^(den c), so for prime m, P = m = n^e exactly
+    x = 3000
+    ns = range(2, x + 1)
+    P = [largest_prime_factor(floor_pow(n, c)) for n in ns]
+    exceed = sum(1 for n, p in zip(ns, P) if p**e.denominator > n**e.numerator)
+    at = sum(1 for n, p in zip(ns, P) if p**e.denominator == n**e.numerator)
+    assert at >= 5
+    assert large_pf_exceed(x, c, e, 0).observed == exceed
+    assert smooth_count(x, c, e).observed == x - 1 - exceed
+    if e == Fraction(1, 2):
+        # exponents a hair off 1/2 have denominator 2^40: decided by intervals
+        assert large_pf_exceed(x, c, 0.5 + 2.0**-40, 0.0).observed == exceed
+        assert large_pf_exceed(x, c, 0.5 - 2.0**-40, 0.0).observed == exceed + at
+
+
+def test_large_pf_refuses_infinite_exponent():
+    with pytest.raises(ValidationError):
+        large_pf_exceed(1000, C32, math.inf, 0.05)
 
 
 def test_large_pf_deciles_present():

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,72 @@ def test_kernel_matrices_refused_before_allocation():
     for call in (k.approx, k.majorant, lambda pts: erdos_turan_rhs(pts, H)):
         with pytest.raises(GuardError):
             call(t)
+
+
+def _cos_sin_reduced(t, hs):
+    """cos and sin of 2 pi h t for every point t (rows) and h (columns), with
+    h*t reduced mod 1 into [-1/2, 1/2) exactly, in integers, before the
+    angle is formed."""
+    num, den = (np.array(v, dtype=object)[:, None] for v in zip(*(float(x).as_integer_ratio() for x in t)))
+    r = (np.asarray(hs).astype(object)[None, :] * num) % den
+    r = np.where(2 * r >= den, r - den, r)
+    ang = 2.0 * math.pi * (r / den).astype(np.float64)
+    return np.cos(ang), np.sin(ang)
+
+
+def _vaaler_series(t, H):
+    """approx and majorant of the degree-H kernel from their definitions,
+    each point's series summed with math.fsum."""
+    K = H + 1
+    u = [h / K for h in range(1, H + 1)]
+    mult = [math.pi * x * (1 - x) / math.tan(math.pi * x) + x for x in u]
+    sin_w = np.array([-m / (math.pi * h) for h, m in enumerate(mult, 1)])
+    cos_w = np.array([(1 - x) / K for x in u])
+    cos, sin = _cos_sin_reduced(t, range(1, H + 1))
+    approx = [math.fsum((sin_w * row).tolist()) for row in sin]
+    maj = [math.fsum([1 / (2 * K)] + (cos_w * row).tolist()) for row in cos]
+    return np.array(approx), np.array(maj)
+
+
+EDGE_POINTS = [1e-12, 1 - 1e-12, 10**6 + 0.3]
+
+
+@pytest.mark.parametrize(
+    "H, t",
+    [
+        # at 10^9 + 0.3, forming the angle before reducing mod 1 moves approx by ~1e-8
+        (10**4, [1e-9, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1 - 1e-9, 10**9 + 0.3] + EDGE_POINTS),
+        (10**5, EDGE_POINTS),
+    ],
+)
+def test_vaaler_kernel_matches_fsum_series(H, t):
+    k = vaaler_kernel(H)
+    approx, maj = _vaaler_series(t, H)
+    assert float(np.max(np.abs(k.approx(t) - approx))) <= 1e-10
+    assert float(np.max(np.abs(k.majorant(t) - maj))) <= 1e-10
+
+
+def test_erdos_turan_matches_fsum_recount():
+    K, H = 2000, 500
+    t = np.arange(1, K + 1, dtype=np.float64) ** (2.0 / 3.0)
+    cos, sin = _cos_sin_reduced(t, range(1, H + 1))
+    terms = [K / (H + 1)] + [
+        3.0 * math.hypot(math.fsum(cos[:, h - 1].tolist()), math.fsum(sin[:, h - 1].tolist())) / h
+        for h in range(1, H + 1)
+    ]
+    want = math.fsum(terms)
+    assert abs(erdos_turan_rhs(t, H) - want) <= 1e-10 * want
+
+
+def test_erdos_turan_memory_linear_in_points():
+    t = np.arange(1, 10**5 + 1, dtype=np.float64) ** (2.0 / 3.0)
+    tracemalloc.start()
+    try:
+        erdos_turan_rhs(t, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_discrepancy_examples():
