@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt, log
-from typing import Optional
 
 import numpy as np
 
 from .errors import GuardError, ValidationError
 
 SIEVE_LIMIT_GUARD = 10**9
-SPF_LIMIT_GUARD = 10**8
 FACTOR_GUARD = 10**14
 MOBIUS_LIMIT_GUARD = 10**8
 # factor_stream's limit: its cube root, 10^4, ends _SMALL_PRIMES, and it lies
@@ -33,14 +31,14 @@ _SPRP_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 @dataclass
 class SieveCache:
-    """Primes up to ``limit`` plus an optional smallest-prime-factor table.
+    """The primes up to ``limit``.
 
     Immutable after construction; safe to share across threads.
     """
 
     limit: int
-    primes: np.ndarray            # ascending int64
-    spf: Optional[np.ndarray] = None  # spf[m] = least prime factor of m, int64
+    primes: np.ndarray  # ascending int64
+    spf: None = None  # always None; perfbench/tracing.py's _after_sieve reads it
 
     def prime_count(self) -> int:
         return int(self.primes.size)
@@ -86,14 +84,12 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def primes_up_to(limit: int, with_spf: bool = False) -> SieveCache:
+def primes_up_to(limit: int) -> SieveCache:
     """Segmented sieve of Eratosthenes; exact prime list up to ``limit``."""
     if limit < 0:
         raise ValidationError(f"limit must be nonnegative, got {limit}")
     if limit > SIEVE_LIMIT_GUARD:
         raise GuardError(f"sieve limit {limit} exceeds the guard {SIEVE_LIMIT_GUARD}")
-    if with_spf and limit > SPF_LIMIT_GUARD:
-        raise GuardError(f"spf table limit {limit} exceeds the guard {SPF_LIMIT_GUARD}")
 
     if limit < 2:
         return SieveCache(limit, np.empty(0, dtype=np.int64))
@@ -113,14 +109,7 @@ def primes_up_to(limit: int, with_spf: bool = False) -> SieveCache:
                     seg[start - lo :: p] = False
             chunks.append((np.nonzero(seg)[0] + lo).astype(np.int64))
     primes = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-
-    spf = None
-    if with_spf:
-        spf = np.arange(limit + 1, dtype=np.int64)
-        for p in base:
-            p = int(p)
-            spf[p * p :: p] = np.minimum(spf[p * p :: p], p)
-    return SieveCache(limit, primes, spf)
+    return SieveCache(limit, primes)
 
 
 def is_prime(n: int) -> bool:
@@ -189,13 +178,11 @@ def _rho_split(n: int) -> int:
 _SMALL_PRIMES = _simple_sieve(10**4)
 
 
-def factorize(m: int, cache: Optional[SieveCache] = None) -> FactorMap:
+def factorize(m: int) -> FactorMap:
     """Complete factorization of m <= 10^14.
 
     Trial division by sieved primes handles the small part; the cofactor is
-    settled by the deterministic primality test and rho splitting.  When a
-    SieveCache with an spf table covering m is supplied, the factorization
-    walks the table instead.
+    settled by the deterministic primality test and rho splitting.
     """
     if m < 1:
         raise ValidationError(f"factorize requires m >= 1, got {m}")
@@ -203,17 +190,6 @@ def factorize(m: int, cache: Optional[SieveCache] = None) -> FactorMap:
         raise GuardError(f"m={m} exceeds the factorization guard {FACTOR_GUARD}")
     if m == 1:
         return FactorMap(())
-
-    if cache is not None and cache.spf is not None and m <= cache.limit:
-        out = []
-        while m > 1:
-            p = int(cache.spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return FactorMap(tuple(sorted(out)))
 
     entries: list[tuple[int, int]] = []
     for p in _SMALL_PRIMES:
@@ -243,18 +219,18 @@ def factorize(m: int, cache: Optional[SieveCache] = None) -> FactorMap:
     return FactorMap(tuple(sorted(entries)))
 
 
-def largest_prime_factor(m: int, cache: Optional[SieveCache] = None) -> int:
+def largest_prime_factor(m: int) -> int:
     """P(m): the largest prime dividing m; requires m >= 2."""
     if m < 2:
         raise ValidationError(f"largest_prime_factor requires m >= 2, got {m}")
-    return factorize(m, cache).max_prime()
+    return factorize(m).max_prime()
 
 
-def is_squarefree(m: int, cache: Optional[SieveCache] = None) -> bool:
+def is_squarefree(m: int) -> bool:
     """True iff no prime square divides m."""
     if m < 1:
         raise ValidationError(f"is_squarefree requires m >= 1, got {m}")
-    return factorize(m, cache).is_squarefree()
+    return factorize(m).is_squarefree()
 
 
 @dataclass(frozen=True)

@@ -46,29 +46,33 @@ class CarmichaelRecord:
         )
 
 
+def _korselt_factors(N: int, fm: FactorMap) -> bool:
+    """Korselt's criterion for N, decided from its factorization fm."""
+    if len(fm.entries) < 2 or not fm.is_squarefree():
+        return False
+    return all((N - 1) % (p - 1) == 0 for p in fm.primes())
+
+
 def korselt(N: int) -> bool:
     """True iff N is composite, squarefree, and p-1 | N-1 for every p | N."""
     if N < 2:
         raise ValidationError(f"korselt requires N >= 2, got {N}")
-    fm = factorize(N)
-    if len(fm.entries) < 2 or not fm.is_squarefree():
-        return False
-    return all((N - 1) % (p - 1) == 0 for p, _ in fm.entries)
+    return _korselt_factors(N, factorize(N))
 
 
-def _record(N: int, c: ExponentC) -> CarmichaelRecord:
-    fm = factorize(N)
+def _record(N: int, fm: FactorMap, c: ExponentC) -> CarmichaelRecord:
     return CarmichaelRecord(N, fm, tuple(is_ps_value(p, c).is_member for p in fm.primes()))
 
 
 def is_ps_carmichael(N: int, c: ExponentC) -> Optional[CarmichaelRecord]:
     """The record for N when N is Carmichael with every factor a sequence
-    value under c; None otherwise."""
+    value under c; None otherwise.  N is factored once."""
     if N < 2:
         raise ValidationError(f"N must be >= 2, got {N}")
-    if not korselt(N):
+    fm = factorize(N)
+    if not _korselt_factors(N, fm):
         return None
-    rec = _record(N, c)
+    rec = _record(N, fm, c)
     return rec if rec.all_ps else None
 
 
@@ -109,7 +113,7 @@ def search_ps_carmichael(limit: int, c: ExponentC, require_all: bool = True) -> 
     """All Carmichael numbers <= limit, ascending, with exact membership
     witnesses under c for their factors; with ``require_all``, only those
     whose factors are all sequence values."""
-    records = [_record(N, c) for N in carmichael_numbers_up_to(limit)]
+    records = [_record(N, factorize(N), c) for N in carmichael_numbers_up_to(limit)]
     return [r for r in records if r.all_ps] if require_all else records
 
 

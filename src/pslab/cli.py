@@ -23,7 +23,7 @@ from .pscore import ExponentC, count_decomposition, floor_pow, is_ps_value, ps_v
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: worker count and I/O choices."""
+    """Resolved invocation: the sum eval worker count and I/O choices."""
 
     threads: int = 1
     fmt: str = "csv"
@@ -128,13 +128,13 @@ def _cmd_experiment(args, cfg: RunConfig) -> None:
     reports: list[xp.ExperimentReport] = []
     if args.exp_cmd == "squarefree":
         for x in _series(args.series, args.x):
-            reports.append(xp.squarefree_density(x, c, threads=cfg.threads))
+            reports.append(xp.squarefree_density(x, c))
     elif args.exp_cmd == "chebyshev":
         for x in _series(args.series, args.x):
-            reports.append(xp.chebyshev_sum(x, c, threads=cfg.threads))
+            reports.append(xp.chebyshev_sum(x, c))
     elif args.exp_cmd == "smooth":
         for x in _series(args.series, args.x):
-            reports.append(xp.smooth_count(x, c, args.eps, threads=cfg.threads))
+            reports.append(xp.smooth_count(x, c, args.eps))
     elif args.exp_cmd == "largepf":
         cs = [ExponentC.parse(s) for s in args.c_list.split(",")] if args.c_list else [c]
         for ci in cs:
@@ -144,7 +144,7 @@ def _cmd_experiment(args, cfg: RunConfig) -> None:
                 else args.theta
             )
             for x in _series(args.series, args.x):
-                reports.append(xp.large_pf_exceed(x, ci, theta, args.eps, threads=cfg.threads))
+                reports.append(xp.large_pf_exceed(x, ci, theta, args.eps))
         if cfg.fmt == "tsv-plot":
             # decile columns per exponent: (c, d10, ..., d90)
             emit_plot_data(
@@ -159,13 +159,11 @@ def _cmd_experiment(args, cfg: RunConfig) -> None:
     elif args.exp_cmd == "residues":
         residues = range(args.q) if args.a is None else [args.a]
         for a in residues:
-            reports.append(
-                xp.residue_equidistribution(args.N, c, args.q, a, threads=cfg.threads)
-            )
+            reports.append(xp.residue_equidistribution(args.N, c, args.q, a))
     elif args.exp_cmd == "squaredivisor":
         import numpy as np
 
-        lhs, rhs = xp.square_divisor_sum(args.x, c, args.D, np.ones_like, threads=cfg.threads)
+        lhs, rhs = xp.square_divisor_sum(args.x, c, args.D, np.ones_like)
         print(f"lhs={lhs!r} rhs={rhs!r}")
         return
     elif args.exp_cmd == "convolution":
@@ -211,7 +209,10 @@ def _cmd_carmichael(args, cfg: RunConfig) -> None:
 
 def _cmd_sum(args, cfg: RunConfig) -> None:
     if args.sum_cmd == "eval":
-        text = open(args.instance).read() if os.path.exists(args.instance) else args.instance
+        text = args.instance
+        if os.path.exists(args.instance):
+            with open(args.instance, encoding="utf-8") as fh:
+                text = fh.read()
         inst = expsum.SumInstance.from_json(text)
         value = expsum.eval_sum(inst, threads=cfg.threads)
         print(f"{value.real!r} {value.imag!r} abs={abs(value)!r}")
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic and empirical verification lab for "
         "the sequences floor(n^c) with rational non-integer c > 1.",
     )
-    root.add_argument("--threads", type=int, default=None, help="worker pool size (default: PSLAB_THREADS or 1)")
+    root.add_argument("--threads", type=int, default=None, help="sum eval worker pool size (default: PSLAB_THREADS or 1)")
     sub = root.add_subparsers(dest="group", required=True)
 
     ps = sub.add_parser("ps", help="floor-power arithmetic and value-set membership")

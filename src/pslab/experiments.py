@@ -25,7 +25,6 @@ from .errors import GuardError, ValidationError
 from .pscore import ExponentC, floor_pow, floor_pow_bulk, is_ps_value
 
 SIX_OVER_PI_SQUARED = 6.0 / np.pi**2
-CHUNK = 1 << 16
 # P > n^e is decided in float64 only where P is off n^e by more than this
 # relative band.  Where n^e is a finite, normal float64, |e log n| < 710, so
 # rounding e to float64 moves it by under 1e-13 relative, and pow adds a few
@@ -78,17 +77,9 @@ class ExperimentReport:
     CSV_HEADER = "experiment,param_json,observed,reference,ratio,runtime_ms"
 
 
-def _values_upto(x: int, c: ExponentC, threads: int = 1) -> np.ndarray:
-    """floor(n^c) for n = 1..x, exact, chunked for determinism."""
-    ns = np.arange(1, x + 1, dtype=np.int64)
-    if threads > 1 and x > CHUNK:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = [(lo, min(lo + CHUNK, x)) for lo in range(0, x, CHUNK)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: floor_pow_bulk(ns[b[0] : b[1]], c), bounds))
-        return np.concatenate(parts)
-    return floor_pow_bulk(ns, c)
+def _values_upto(x: int, c: ExponentC) -> np.ndarray:
+    """floor(n^c) for n = 1..x, exact."""
+    return floor_pow_bulk(np.arange(1, x + 1, dtype=np.int64), c)
 
 
 def _check_values(x: int, c: ExponentC) -> None:
@@ -97,19 +88,17 @@ def _check_values(x: int, c: ExponentC) -> None:
         raise GuardError(f"floor({x}^{c}) exceeds the factorization guard {SQUAREFREE_BULK_MAX:.0e}")
 
 
-def squarefree_density(x: int, c: ExponentC, threads: int = 1) -> ExperimentReport:
+def squarefree_density(x: int, c: ExponentC) -> ExperimentReport:
     """#{n <= x : floor(n^c) squarefree} against the density (6/pi^2) x."""
     if x < 1:
         raise ValidationError("x must be >= 1")
     if x > 10**7:
         raise GuardError(f"x={x} exceeds the squarefree guard 10^7")
     _check_values(x, c)
-    from fractions import Fraction
-
     if not (1 < Fraction(c.p, c.q) < Fraction(149, 87)):
         warnings.warn(f"c={c} outside (1, 149/87); the density claim is unproven there")
     t0 = time.perf_counter()
-    observed = int(np.sum(is_squarefree_bulk(_values_upto(x, c, threads))))
+    observed = int(np.sum(is_squarefree_bulk(_values_upto(x, c))))
     report = ExperimentReport(
         "squarefree_density",
         {"x": x, "c": str(c)},
@@ -120,7 +109,7 @@ def squarefree_density(x: int, c: ExponentC, threads: int = 1) -> ExperimentRepo
     return report
 
 
-def chebyshev_sum(x: int, c: ExponentC, threads: int = 1) -> ExperimentReport:
+def chebyshev_sum(x: int, c: ExponentC) -> ExperimentReport:
     """sum_{n<=x} sum_{p | floor(n^c)} log p against c*x*(log x - 1).
 
     The reference keeps the second-order term of sum log(floor(n^c))
@@ -133,7 +122,7 @@ def chebyshev_sum(x: int, c: ExponentC, threads: int = 1) -> ExperimentReport:
         raise GuardError(f"x={x} exceeds the Chebyshev guard 10^6")
     _check_values(x, c)
     t0 = time.perf_counter()
-    observed = factor_stream(_values_upto(x, c, threads)).log_sum
+    observed = factor_stream(_values_upto(x, c)).log_sum
     report = ExperimentReport(
         "chebyshev_sum", {"x": x, "c": str(c)}, observed, c.as_float * x * (log(x) - 1.0)
     )
@@ -180,7 +169,7 @@ def _exceeds_power(P: np.ndarray, ns: np.ndarray, e: Fraction) -> np.ndarray:
     return out
 
 
-def smooth_count(x: int, c: ExponentC, eps: Exponent, threads: int = 1) -> ExperimentReport:
+def smooth_count(x: int, c: ExponentC, eps: Exponent) -> ExperimentReport:
     """#{2 <= n <= x : P(floor(n^c)) <= n^eps} against the shape x^(1-eps).
 
     eps is taken at its exact rational value (a float at its binary value),
@@ -195,7 +184,7 @@ def smooth_count(x: int, c: ExponentC, eps: Exponent, threads: int = 1) -> Exper
     _check_values(x, c)
     t0 = time.perf_counter()
     ns = np.arange(2, x + 1, dtype=np.int64)
-    P = factor_stream(_values_upto(x, c, threads)[1:]).largest_prime()
+    P = factor_stream(_values_upto(x, c)[1:]).largest_prime()
     observed = int(np.sum(~_exceeds_power(P, ns, Fraction(eps))))
     report = ExperimentReport(
         "smooth_count",
@@ -207,9 +196,7 @@ def smooth_count(x: int, c: ExponentC, eps: Exponent, threads: int = 1) -> Exper
     return report
 
 
-def large_pf_exceed(
-    x: int, c: ExponentC, theta: Exponent, eps: Exponent, threads: int = 1
-) -> ExperimentReport:
+def large_pf_exceed(x: int, c: ExponentC, theta: Exponent, eps: Exponent) -> ExperimentReport:
     """#{2 <= n <= x : P(floor(n^c)) > n^(theta-eps)} against reference x.
 
     theta - eps is taken at its exact rational value (floats at their
@@ -226,7 +213,7 @@ def large_pf_exceed(
     _check_values(x, c)
     t0 = time.perf_counter()
     ns = np.arange(2, x + 1, dtype=np.int64)
-    P = factor_stream(_values_upto(x, c, threads)[1:]).largest_prime()
+    P = factor_stream(_values_upto(x, c)[1:]).largest_prime()
     observed = int(np.sum(_exceeds_power(P, ns, Fraction(theta) - Fraction(eps))))
     exponents = np.log(P.astype(np.float64)) / np.log(ns.astype(np.float64))
     deciles = {f"d{k}0": float(np.percentile(exponents, 10 * k)) for k in range(1, 10)}
@@ -246,7 +233,6 @@ def square_divisor_sum(
     c: ExponentC,
     D: int,
     z: Callable[[np.ndarray], np.ndarray],
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Direct count of d^2 | floor(n^c) over dyadic d ~ D, versus the
     predicted x * sum z_d / d^2.
@@ -258,16 +244,16 @@ def square_divisor_sum(
         raise ValidationError("x and D must be >= 1")
     if x > 10**6:
         raise GuardError(f"x={x} exceeds the guard 10^6")
-    cf = c.as_float
-    if float(D) > float(x) ** (cf / 2):
+    # D > x^(c/2) and D > x^(2-c), decided in integers
+    if D ** (2 * c.q) > x**c.p:
         raise ValidationError(f"D={D} exceeds x^(c/2)")
-    if float(D) > float(x) ** (2.0 - cf):
+    if D**c.q * x**c.p > x ** (2 * c.q):
         warnings.warn("D beyond x^(2-c): outside the proven main-term range")
     ds = np.arange(D + 1, 2 * D + 1, dtype=np.int64)
     zd = np.asarray(z(ds), dtype=np.float64)
     if zd.size and np.max(np.abs(zd)) > 2.0 * np.log(np.maximum(ds, 2)).max() + 1e-9:
         warnings.warn("weights exceed the 2 log d envelope")
-    vals = _values_upto(x, c, threads)
+    vals = _values_upto(x, c)
     lhs = 0.0
     for d, w in zip(ds, zd):
         if w == 0.0:
@@ -278,18 +264,16 @@ def square_divisor_sum(
     return lhs, rhs
 
 
-def residue_equidistribution(
-    N: int, c: ExponentC, q: int, a: int, threads: int = 1
-) -> ExperimentReport:
+def residue_equidistribution(N: int, c: ExponentC, q: int, a: int) -> ExperimentReport:
     """#{n ~ N : floor(n^c) = a (mod q)} against the uniform share N/q."""
     if N < 1 or q < 1:
         raise ValidationError("N and q must be >= 1")
     if N > 10**6:
         raise GuardError(f"N={N} exceeds the guard 10^6")
-    cf = c.as_float
-    if float(q) > float(N) ** ((3.0 - cf) / 6.0):
+    # q > N^((3-c)/6), decided in integers
+    if q ** (6 * c.q) * N**c.p > N ** (3 * c.q):
         raise GuardError(f"q={q} exceeds the admissible range N^((3-c)/6)")
-    if not (1.5 < cf < 2.0):
+    if not (Fraction(3, 2) < Fraction(c.p, c.q) < 2):
         warnings.warn(f"c={c} outside (3/2, 2); the equidistribution claim is unproven there")
     t0 = time.perf_counter()
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)

@@ -16,9 +16,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GuardError, ValidationError
+from .pscore import CHUNK
 
 TERM_GUARD = 10**8
-EVAL_CHUNK = 1 << 16  # fixed reduction chunk; results do not depend on threading
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
 
     shape = tuple(a.size for a in axes)
     total = int(np.prod(shape))
-    bounds = [(lo, min(lo + EVAL_CHUNK, total)) for lo in range(0, total, EVAL_CHUNK)]
+    bounds = [(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
 
     if threads > 1 and len(bounds) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -8,7 +8,7 @@ decided by the exact bracket k^q <= n^p < (k+1)^q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import fsum, gcd
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -178,8 +178,8 @@ def count_decomposition(
     vectorized (ndarray of indices in, ndarray of weights out) so that K up
     to 10^8 never materializes per-index Python calls.  The sawtooth terms
     are evaluated in 64-bit floating point (the O(1) envelope tolerates
-    that) and accumulated chunk-by-chunk in a fixed order (chunk size
-    2^16), making the result reproducible bit-for-bit.
+    that); each part is a math.fsum of 2^16-element chunk sums, so the
+    result is reproducible bit-for-bit.
     """
     from .sawtooth import psi
 
@@ -189,19 +189,18 @@ def count_decomposition(
         raise GuardError(f"K={K} exceeds the desk-scale guard {DECOMPOSITION_K_GUARD}")
     gamma = c.gamma
 
-    main = 0.0
-    correction = 0.0
+    main: list[float] = []
+    correction: list[float] = []
     for start in range(1, K + 1, CHUNK):
         ks = np.arange(start, min(start + CHUNK, K + 1), dtype=np.float64)
         w = np.asarray(z(ks), dtype=np.float64)
-        main += float(np.sum(w * ks ** (gamma - 1.0)))
-        correction += float(np.sum(w * (psi(-((ks + 1.0) ** gamma)) - psi(-(ks**gamma)))))
-    main *= gamma
-
-    exact = 0.0
-    for vals in ps_value_chunks(K, c):
-        exact += float(np.sum(np.asarray(z(vals.astype(np.float64)), dtype=np.float64)))
-    return main, correction, exact
+        main.append(float(np.sum(w * ks ** (gamma - 1.0))))
+        correction.append(float(np.sum(w * (psi(-((ks + 1.0) ** gamma)) - psi(-(ks**gamma))))))
+    exact = fsum(
+        float(np.sum(np.asarray(z(vals.astype(np.float64)), dtype=np.float64)))
+        for vals in ps_value_chunks(K, c)
+    )
+    return gamma * fsum(main), fsum(correction), exact
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,22 @@ evaluation of the smoothed main term.
 
 Sequence primes are the exact values floor(n^c) that are prime, with the
 big-integer membership witness re-checked on a sample; only the log-weighted
-sums are floating point, and those accumulate in fixed chunk order.
+sums are floating point, each a math.fsum of fixed 2^16-element chunk sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, log
+from math import fsum, gcd, log
 
 import numpy as np
 
 from .arith import euler_phi, primes_up_to
 from .errors import GuardError, RouteDisagreementError, ValidationError
-from .pscore import ExponentC, is_ps_value, ps_value_chunks
+from .pscore import CHUNK, ExponentC, is_ps_value, ps_value_chunks
 
 X_GUARD = 10**9
 ROUTE_TOLERANCE = 1e-9
-_CHUNK = 1 << 16
 WITNESS_SAMPLES = 32  # evenly spaced primes, first and last included
 
 
@@ -64,16 +63,8 @@ def theta_ap(x: int, d: int, a: int) -> float:
 
 
 def _chunked_sum(v: np.ndarray) -> float:
-    # fixed-order compensated combination of 2^16-element chunk sums
-    s = 0.0
-    comp = 0.0
-    for lo in range(0, v.size, _CHUNK):
-        p = float(np.sum(v[lo : lo + _CHUNK]))
-        y = p - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-    return s
+    # math.fsum of the 2^16-element chunk sums: correctly rounded, so order-free
+    return fsum(float(np.sum(v[lo : lo + CHUNK])) for lo in range(0, v.size, CHUNK))
 
 
 @lru_cache(maxsize=1)  # the name predates the array it holds; perfbench clears it by name

@@ -47,15 +47,6 @@ def test_sieve_guard():
         primes_up_to(10**9 + 1)
 
 
-def test_spf_table():
-    cache = primes_up_to(10**4, with_spf=True)
-    assert cache.spf[2] == 2 and cache.spf[9] == 3 and cache.spf[9991] == 97
-    for m in range(2, 500):
-        p = int(cache.spf[m])
-        assert m % p == 0 and is_prime(p)
-        assert all(m % r for r in range(2, p))
-
-
 def test_is_prime_small_and_bases():
     sieve = primes_up_to(10**4).primes
     marks = np.zeros(10**4 + 1, dtype=bool)

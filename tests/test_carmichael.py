@@ -11,6 +11,7 @@ from pslab import (
     korselt,
     search_ps_carmichael,
 )
+from pslab import carmichael
 
 CLASSICS_1E4 = [561, 1105, 1729, 2465, 2821, 6601, 8911]
 CLASSICS_1E5 = CLASSICS_1E4 + [
@@ -96,3 +97,12 @@ def test_record_json_lines():
 def test_fermat_on_all_hits():
     for rec in search_ps_carmichael(10**4, C_NEAR_ONE):
         assert fermat_holds(rec.N)
+
+
+def test_is_ps_carmichael_factors_once(monkeypatch):
+    calls = []
+    factorize = carmichael.factorize
+    monkeypatch.setattr(carmichael, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert is_ps_carmichael(561, C_NEAR_ONE) is not None
+    assert is_ps_carmichael(563, C_NEAR_ONE) is None
+    assert calls == [561, 563]

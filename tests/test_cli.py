@@ -169,12 +169,22 @@ def test_threads_env_default(capsys, monkeypatch):
     assert total == 1000.0
 
 
-def test_threads_flag_deterministic(capsys):
-    outs = []
-    for t in ("1", "4"):
-        code, out, _ = run(
-            capsys, "--threads", t, "experiment", "chebyshev", "--x", "20000", "--c", "6/5"
+def test_threads_flag_deterministic(capsys, tmp_path):
+    # sum eval is the one pooled command; 300 x 300 terms span two 2^16-term
+    # chunks, so --threads 2 runs the pool
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        json.dumps(
+            {
+                "phase": {"A": 0.37, "exponents": [[0, 1.5], [1, 0.5]]},
+                "ranges": [[300, True], [300, False]],
+                "seed": None,
+            }
         )
-        assert code == 0
-        outs.append(out.splitlines()[1].rsplit(",", 1)[0])  # strip runtime column
+    )
+    outs = []
+    for t in ("1", "2"):
+        code, out, _ = run(capsys, "--threads", t, "sum", "eval", "--instance", str(inst))
+        assert code == 0 and "abs=" in out
+        outs.append(out)
     assert outs[0] == outs[1]

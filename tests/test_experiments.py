@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -287,3 +288,21 @@ def test_reports_serialize():
     assert r.to_csv_row().startswith("squarefree_density,")
     assert '"experiment": "squarefree_density"' in r.to_json()
     assert r.ratio == pytest.approx(r.observed / r.reference)
+
+
+def test_square_divisor_range_decided_exactly():
+    # 100^3 = 1000^2: at c = 4/3, D = 100 is both x^(c/2) and x^(2-c)
+    c = ExponentC(4, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        square_divisor_sum(1000, c, 100, np.ones_like)
+    with pytest.raises(ValidationError):
+        square_divisor_sum(1000, c, 101, np.ones_like)
+
+
+@pytest.mark.parametrize("N, c, q", [(512, ExponentC(5, 3), 4), (10**5, ExponentC(9, 5), 10)])
+def test_residue_guard_decided_exactly(N, c, q):
+    # q^6 = N^(3-c): q is the largest admissible modulus
+    assert residue_equidistribution(N, c, q, 1).observed > 0
+    with pytest.raises(GuardError):
+        residue_equidistribution(N, c, q + 1, 1)

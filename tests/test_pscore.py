@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,3 +183,17 @@ def test_decomposition_exact_part_counts_the_values(c, k, delta):
     K = max(floor_pow(n, c) + delta, 1)
     exact = count_decomposition(K, c, np.ones_like)[2]
     assert exact == len(list(ps_values_in(1, K, c)))
+
+
+def test_decomposition_sums_match_fsum_recount():
+    K, g = 10**5, C32.gamma
+    ks = np.arange(1, K + 1, dtype=np.float64)
+
+    def psi(t):
+        return t - np.floor(t) - 0.5
+
+    main, corr, exact = count_decomposition(K, C32, np.ones_like)
+    want_main = g * math.fsum(ks ** (g - 1.0))
+    want_corr = math.fsum(psi(-((ks + 1.0) ** g)) - psi(-(ks**g)))
+    assert abs(main - want_main) <= 1e-12 * abs(want_main)
+    assert abs(corr - want_corr) <= 1e-12 * abs(want_corr)

@@ -168,3 +168,31 @@ def test_dropped_member_is_a_route_disagreement(monkeypatch):
             ps_primes_up_to(1000, C32)
     finally:
         psprimes._ps_prime_mask_cached.cache_clear()
+
+
+def _sieve(x):
+    flags = np.ones(x + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(x) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).astype(np.float64)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("d, a", [(1, 0), (4, 1)])
+def test_log_sums_match_fsum_recount(d, a):
+    x = 10**6
+    ps = _sieve(x)
+    ps = ps[ps % d == a % d]
+    assert _close(theta_ap(x, d, a), math.fsum(np.log(ps)))
+    # the route B closed form gamma * sum p^(gamma-1)
+    g = C32.gamma
+    assert _close(ap_main_term(ApQuery(x, d, a, C32)), g * math.fsum(ps ** (g - 1.0)))
+    c = ExponentC(1001, 1000)  # nearly every prime is a value: more than one 2^16 chunk
+    seq = ps_primes_up_to(x, c)
+    seq = seq[seq % d == a % d].astype(np.float64)
+    assert _close(vartheta_c_ap(ApQuery(x, d, a, c)), math.fsum(np.log(seq)))
