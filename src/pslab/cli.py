@@ -120,7 +120,10 @@ def _cmd_pairs(args, cfg: RunConfig) -> None:
 def _series(arg: Optional[str], default: int) -> list[int]:
     if not arg:
         return [default]
-    return [int(float(s)) for s in arg.split(",") if s.strip()]
+    try:
+        return [int(s) for s in arg.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"--series {arg!r} must be a comma list of integers") from exc
 
 
 def _cmd_experiment(args, cfg: RunConfig) -> None:
@@ -157,6 +160,8 @@ def _cmd_experiment(args, cfg: RunConfig) -> None:
             )
             return
     elif args.exp_cmd == "residues":
+        if args.q < 1:
+            raise ValidationError(f"q={args.q} must be >= 1")
         residues = range(args.q) if args.a is None else [args.a]
         for a in residues:
             reports.append(xp.residue_equidistribution(args.N, c, args.q, a))
@@ -391,17 +396,27 @@ _HANDLERS = {
 }
 
 
+def _threads(flag: Optional[int]) -> int:
+    """The sum eval pool size: --threads, else PSLAB_THREADS, else 1."""
+    if flag is None:
+        text = os.environ.get("PSLAB_THREADS", "1")
+        try:
+            flag = int(text)
+        except ValueError as exc:
+            raise ValidationError(f"PSLAB_THREADS={text!r} must be an integer") from exc
+    if flag < 1:
+        raise ValidationError(f"thread count {flag} must be >= 1")
+    return flag
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("PSLAB_THREADS", "1"))
-    cfg = RunConfig(
-        threads=max(threads, 1),
-        fmt=getattr(args, "fmt", "csv"),
-        output=getattr(args, "output", None),
-    )
     try:
+        cfg = RunConfig(
+            threads=_threads(args.threads),
+            fmt=getattr(args, "fmt", "csv"),
+            output=getattr(args, "output", None),
+        )
         _HANDLERS[args.group](args, cfg)
     except RouteDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, log
+from math import fsum, isfinite, log
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -22,13 +22,13 @@ import numpy as np
 from .arith import SQUAREFREE_BULK_MAX, factor_stream, is_squarefree_bulk
 from .arith import factorize, primes_up_to  # unused here; perfbench/tracing.py wraps these names
 from .errors import GuardError, ValidationError
-from .pscore import ExponentC, floor_pow, floor_pow_bulk, is_ps_value
+from .pscore import ExponentC, floor_pow_bulk, in_sorted
 
 SIX_OVER_PI_SQUARED = 6.0 / np.pi**2
 # P > n^e is decided in float64 only where P is off n^e by more than this
 # relative band.  Where n^e is a finite, normal float64, |e log n| < 710, so
 # rounding e to float64 moves it by under 1e-13 relative, and pow adds a few
-# ulp; P < 2^53 converts exactly.
+# ulp; converting an int64 P errs by at most 2^-53 relative.
 POWER_BAND = 2.0**-30
 EXACT_DEN_MAX = 64  # exponents with a denominator up to this compare as P^den vs n^num
 Exponent = Union[float, Fraction]
@@ -83,8 +83,10 @@ def _values_upto(x: int, c: ExponentC) -> np.ndarray:
 
 
 def _check_values(x: int, c: ExponentC) -> None:
-    """Refuse, before generating anything, values beyond factor_stream."""
-    if floor_pow(x, c) > SQUAREFREE_BULK_MAX:
+    """Refuse, before generating anything, values beyond factor_stream:
+    floor(x^c) > M exactly when M + 1 > x^c fails."""
+    bound = np.array([SQUAREFREE_BULK_MAX + 1])
+    if not _exceeds_power(bound, np.array([x]), Fraction(c.p, c.q))[0]:
         raise GuardError(f"floor({x}^{c}) exceeds the factorization guard {SQUAREFREE_BULK_MAX:.0e}")
 
 
@@ -138,9 +140,9 @@ def _exceeds_power_exact(P: int, n: int, e: Fraction) -> bool:
 
     iv = MPIntervalContext()  # a private context: its precision is ours to raise
     iv.prec = 64
-    # P = n^e would need n = P^den >= 2^65 (P prime, e = num/den in lowest
-    # terms, den > EXACT_DEN_MAX), beyond int64: the two sides differ, so
-    # the loop ends
+    # P = n^e means P^den = n^num, so n = m^den for an integer m (e = num/den
+    # in lowest terms); with n >= 2 and den > EXACT_DEN_MAX that is n >= 2^65,
+    # beyond int64: the two sides differ, so the loop ends
     while True:
         lhs = iv.log(iv.mpf(P))
         rhs = iv.mpf(e.numerator) / e.denominator * iv.log(iv.mpf(n))
@@ -152,18 +154,19 @@ def _exceeds_power_exact(P: int, n: int, e: Fraction) -> bool:
 
 
 def _exceeds_power(P: np.ndarray, ns: np.ndarray, e: Fraction) -> np.ndarray:
-    """P > n^e elementwise, for primes P and int64 n >= 2, decided exactly.
+    """P > n^e elementwise, for integers P >= 1 and int64 n >= 1, decided
+    exactly.
 
-    The float64 comparison decides every element whose P lies outside a
-    relative POWER_BAND around n^e; the rest are decided in integers as
-    P^den > n^num when e has a denominator up to EXACT_DEN_MAX, and
-    otherwise by interval enclosures of log P and e log n at rising
-    precision.
+    The float64 comparison decides n = 1, where it is exact (pow(1, e) = 1),
+    and every element whose P lies outside a relative POWER_BAND around
+    n^e; the rest are decided in integers as P^den > n^num when e has a
+    denominator up to EXACT_DEN_MAX, and otherwise by interval enclosures
+    of log P and e log n at rising precision.
     """
     f = ns.astype(np.float64) ** float(e)
     Pf = P.astype(np.float64)
     out = Pf > f
-    band = (np.abs(Pf - f) <= POWER_BAND * f) & np.isfinite(f)
+    band = (np.abs(Pf - f) <= POWER_BAND * f) & np.isfinite(f) & (ns > 1)
     for i in np.flatnonzero(band):
         out[i] = _exceeds_power_exact(int(P[i]), int(ns[i]), e)
     return out
@@ -244,10 +247,11 @@ def square_divisor_sum(
         raise ValidationError("x and D must be >= 1")
     if x > 10**6:
         raise GuardError(f"x={x} exceeds the guard 10^6")
-    # D > x^(c/2) and D > x^(2-c), decided in integers
-    if D ** (2 * c.q) > x**c.p:
+    e, Ds, xs = Fraction(c.p, c.q), np.array([D]), np.array([x])
+    # D >= 2^(bits(x) c/2) > x^(c/2) is refused before D meets a float
+    if 2 * c.q * (D.bit_length() - 1) >= c.p * x.bit_length() or _exceeds_power(Ds, xs, e / 2)[0]:
         raise ValidationError(f"D={D} exceeds x^(c/2)")
-    if D**c.q * x**c.p > x ** (2 * c.q):
+    if _exceeds_power(Ds, xs, 2 - e)[0]:
         warnings.warn("D beyond x^(2-c): outside the proven main-term range")
     ds = np.arange(D + 1, 2 * D + 1, dtype=np.int64)
     zd = np.asarray(z(ds), dtype=np.float64)
@@ -270,10 +274,11 @@ def residue_equidistribution(N: int, c: ExponentC, q: int, a: int) -> Experiment
         raise ValidationError("N and q must be >= 1")
     if N > 10**6:
         raise GuardError(f"N={N} exceeds the guard 10^6")
-    # q > N^((3-c)/6), decided in integers
-    if q ** (6 * c.q) * N**c.p > N ** (3 * c.q):
+    e = Fraction(c.p, c.q)
+    # q > N > N^((3-c)/6) is refused before q meets a float
+    if q > N or _exceeds_power(np.array([q]), np.array([N]), (3 - e) / 6)[0]:
         raise GuardError(f"q={q} exceeds the admissible range N^((3-c)/6)")
-    if not (Fraction(3, 2) < Fraction(c.p, c.q) < 2):
+    if not (Fraction(3, 2) < e < 2):
         warnings.warn(f"c={c} outside (3/2, 2); the equidistribution claim is unproven there")
     t0 = time.perf_counter()
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
@@ -298,13 +303,15 @@ def convolution_count(
     """sum_{n<=x} of the dyadic-box convolution R(n) = sum a_k a_l over
     k*l = floor(n^c), with K = x^(c-1+6 eps) and L = x^(1-6 eps)/5.
 
-    Iterates the (k, l) boxes directly, testing each product for sequence
-    membership with a preimage n <= x.
+    For each k with a nonzero weight, the products k*l are looked up in the
+    generated values floor(n^c), n <= x, so a match is a value with a
+    preimage n <= x by construction.  The products stay below
+    4KL <= 0.8 x^c, inside the generated range.
     """
     if x < 2:
         raise ValidationError("x must be >= 2")
     if x > 10**5:
-        raise GuardError(f"x={x} exceeds the double-loop guard 10^5")
+        raise GuardError(f"x={x} exceeds the convolution guard 10^5")
     cf = c.as_float
     K = int(float(x) ** (cf - 1.0 + 6.0 * eps))
     L = int(float(x) ** (1.0 - 6.0 * eps) / 5.0)
@@ -313,14 +320,7 @@ def convolution_count(
     ls = np.arange(L + 1, 2 * L + 1, dtype=np.int64)
     ak = np.asarray(predicate(ks), dtype=np.float64)
     al = np.asarray(predicate(ls), dtype=np.float64)
-    total = 0.0
-    for k, wk in zip(ks, ak):
-        if wk == 0.0:
-            continue
-        for l, wl in zip(ls, al):
-            if wl == 0.0:
-                continue
-            w = is_ps_value(int(k) * int(l), c)
-            if w.is_member and w.preimage <= x:
-                total += float(wk) * float(wl)
-    return total
+    vals = _values_upto(x, c)
+    return fsum(
+        float(wk) * float(np.sum(al[in_sorted(vals, k * ls)])) for k, wk in zip(ks, ak) if wk != 0.0
+    )

@@ -99,17 +99,16 @@ class SumInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "SumInstance":
-        obj = json.loads(text)
-        phase = MonomialPhase(
-            A=float(obj["phase"]["A"]),
-            exponents=tuple((int(v), float(e)) for v, e in obj["phase"]["exponents"]),
-            shift=float(obj["phase"].get("shift", 0.0)),
-        )
-        return cls(
-            phase=phase,
-            ranges=tuple((int(M), bool(d)) for M, d in obj["ranges"]),
-            seed=obj.get("seed"),
-        )
+        try:
+            obj = json.loads(text)
+            A = float(obj["phase"]["A"])
+            exponents = tuple((int(v), float(e)) for v, e in obj["phase"]["exponents"])
+            shift = float(obj["phase"].get("shift", 0.0))
+            ranges = tuple((int(M), bool(d)) for M, d in obj["ranges"])
+            seed = obj.get("seed")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed sum instance ({type(exc).__name__}: {exc})") from exc
+        return cls(phase=MonomialPhase(A, exponents, shift), ranges=ranges, seed=seed)
 
 
 @dataclass(frozen=True)

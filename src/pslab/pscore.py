@@ -8,7 +8,7 @@ decided by the exact bracket k^q <= n^p < (k+1)^q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, gcd
+from math import fsum, gcd, log, log2
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -104,8 +104,13 @@ def integer_root(m: int, q: int) -> int:
         return math.isqrt(m)
     if m.bit_length() <= q:  # m < 2^q means the root is 1
         return 1
-    # seed a little above the true root; Newton then decreases monotonically
-    r = int(float(m) ** (1.0 / q)) + 2 if m.bit_length() < 900 else 1 << -(-m.bit_length() // q)
+    # seed above the true root, so Newton decreases monotonically to it: t is
+    # log2 of the root from the top 53 bits of m, and 2^t is off by under
+    # (t + 1) 2^-46 relative, half the margin below; s keeps 2^(t - s) < 2^54
+    shift = max(m.bit_length() - 53, 0)
+    t = (log2(m >> shift) + shift) / q
+    s = max(int(t) - 53, 0)
+    r = (int(2.0 ** (t - s) * (1.0 + (t + 1.0) * 2.0**-45)) + 2) << s
     while True:
         nxt = ((q - 1) * r + m // r ** (q - 1)) // q
         if nxt >= r:
@@ -205,55 +210,48 @@ def count_decomposition(
 
 # ---------------------------------------------------------------------------
 # bulk evaluation
-#
-# Experiments sweep floor_pow over millions of consecutive n.  Three paths,
-# all exact:
-#   * int64 root path when n^p fits in 62 bits,
-#   * float64 candidate + exact verification of near-integer cases when the
-#    values stay below ~5e12 (the float error budget, with a 10x margin, is
-#    far below the flagging tolerance),
-#   * plain per-n big-integer loop otherwise.
 # ---------------------------------------------------------------------------
 
 _INT64_SAFE_BITS = 62
-_FLOAT_PATH_MAX_VALUE = 5.0e12
-
-
-def _int_root_bulk(m: np.ndarray, q: int) -> np.ndarray:
-    r = np.floor(m.astype(np.float64) ** (1.0 / q)).astype(np.int64)
-    r = np.maximum(r, 0)
-    for _ in range(3):
-        r = np.where((r + 1) ** q <= m, r + 1, r)
-        r = np.where((r > 0) & (r**q > m), r - 1, r)
-    return r
 
 
 def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
-    """Vectorized floor(n^c) over an int64 array, exact on every element."""
+    """Vectorized floor(n^c) over an int64 array, exact on every element.
+
+    The result is int64 when n_max < 2^bits with bits * p <= 62 q, so every
+    value and its float64 candidate stay below 2^63; above that it is an
+    object array of Python integers, one floor_pow per element.  The float64
+    candidate v errs only near an integer: rounding c to float64 moves n^c
+    by at most v ln v 2^-53, rounding n (above 2^53) by c v 2^-53, and pow
+    adds at most 2 ulp (4 v 2^-53).  Every element whose fractional part lies
+    within 10x that budget at v_max of an integer is settled by floor_pow;
+    once the band reaches 1/2, that is every element.
+    """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
         return ns.copy()
     n_max = int(ns.max())
     if int(ns.min()) < 1:
         raise ValidationError("floor_pow_bulk requires all n >= 1")
+    if n_max.bit_length() * c.p > _INT64_SAFE_BITS * c.q:
+        return np.array([floor_pow(int(n), c) for n in ns], dtype=object)
 
-    if n_max.bit_length() * c.p <= _INT64_SAFE_BITS:
-        return _int_root_bulk(ns**c.p, c.q)
-
+    v = np.power(ns.astype(np.float64), c.as_float)
     v_max = float(n_max) ** c.as_float
-    if v_max <= _FLOAT_PATH_MAX_VALUE:
-        v = np.power(ns.astype(np.float64), c.as_float)
-        k = np.floor(v).astype(np.int64)
-        # absolute float error is below v*(ln n * 2^-53 * p/q + 2 ulp); flag
-        # anything within 10x of that budget and settle it exactly
-        tol = 10.0 * v_max * (np.log(n_max) * 2.3e-16 + 4.5e-16) + 1e-9
-        frac = v - np.floor(v)
-        suspect = np.nonzero((frac < tol) | (frac > 1.0 - tol))[0]
-        for i in suspect:
-            k[i] = floor_pow(int(ns[i]), c)
-        return k
+    tol = 10.0 * v_max * (log(v_max) + c.as_float + 4.0) * 2.0**-53
+    k = np.floor(v)
+    frac = np.subtract(v, k, out=v)  # in place: v is not read again
+    suspect = (frac < tol) | (frac > 1.0 - tol)
+    k = k.astype(np.int64)
+    k[suspect] = [floor_pow(n, c) for n in ns[suspect].tolist()]
+    return k
 
-    return np.array([floor_pow(int(n), c) for n in ns], dtype=object)
+
+def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Whether each xs[i] occurs in the ascending, nonempty sorted_vals,
+    by binary search and an exact equality test."""
+    idx = np.minimum(np.searchsorted(sorted_vals, xs), sorted_vals.size - 1)
+    return sorted_vals[idx] == xs
 
 
 def ps_value_chunks(X: int, c: ExponentC) -> Iterator[np.ndarray]:

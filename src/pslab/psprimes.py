@@ -15,7 +15,7 @@ import numpy as np
 
 from .arith import euler_phi, primes_up_to
 from .errors import GuardError, RouteDisagreementError, ValidationError
-from .pscore import CHUNK, ExponentC, is_ps_value, ps_value_chunks
+from .pscore import CHUNK, ExponentC, in_sorted, is_ps_value, ps_value_chunks
 
 X_GUARD = 10**9
 ROUTE_TOLERANCE = 1e-9
@@ -77,8 +77,7 @@ def _ps_prime_mask_cached(x: int, p: int, q: int) -> np.ndarray:
         return primes
     found = []
     for vals in ps_value_chunks(x, c):
-        idx = np.minimum(np.searchsorted(primes, vals), primes.size - 1)
-        found.append(vals[primes[idx] == vals])
+        found.append(vals[in_sorted(primes, vals)])
     ps = np.concatenate(found)
     for k in primes[np.unique(np.linspace(0, primes.size - 1, WITNESS_SAMPLES).astype(np.int64))]:
         k, i = int(k), int(np.searchsorted(ps, k))

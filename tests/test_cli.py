@@ -188,3 +188,51 @@ def test_threads_flag_deterministic(capsys, tmp_path):
         assert code == 0 and "abs=" in out
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("series", ["1000.7,2000.9", "1e3", "100,abc"])
+def test_experiment_series_accepts_only_integers(capsys, series):
+    # a float entry must not decide an integer x
+    code, out, err = run(
+        capsys, "experiment", "squarefree", "--x", "100", "--c", "3/2", "--series", series
+    )
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("q", ["0", "-3"])
+@pytest.mark.parametrize("fmt", ["csv", "tsv-plot"])
+def test_experiment_residues_rejects_q_below_one(capsys, q, fmt):
+    code, out, err = run(
+        capsys, "experiment", "residues", "--N", "1000", "--c", "17/10", "--q", q, "--format", fmt
+    )
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+def test_threads_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("PSLAB_THREADS", "abc")
+    code, out, err = run(capsys, "ps", "floor", "--n", "10", "--c", "3/2")
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("threads", ["-4", "0"])
+def test_threads_below_one_rejected(capsys, monkeypatch, source, threads):
+    argv = ["ps", "floor", "--n", "10", "--c", "3/2"]
+    if source == "flag":
+        argv = ["--threads", threads] + argv
+    else:
+        monkeypatch.setenv("PSLAB_THREADS", threads)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "instance", ["{}", "notjson", "[1]", '{"phase": {"A": 1}, "ranges": [[5, false]]}']
+)
+def test_sum_eval_rejects_malformed_instance(capsys, instance):
+    code, out, err = run(capsys, "sum", "eval", "--instance", instance)
+    assert code == 2 and out == "" and _one_error_line(err)

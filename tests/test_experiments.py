@@ -224,7 +224,7 @@ def test_residue_equidistribution_acceptance_band():
 
 
 def test_residue_counts_big_values_exactly():
-    # values beyond 5e12 come back as Python integers (object array)
+    # values up to 7.3e12: floor_pow_bulk settles more than half of them exactly
     c, N = ExponentC(5, 2), 70_000
     want = [0, 0]
     for n in range(N + 1, 2 * N + 1):
@@ -306,3 +306,58 @@ def test_residue_guard_decided_exactly(N, c, q):
     assert residue_equidistribution(N, c, q, 1).observed > 0
     with pytest.raises(GuardError):
         residue_equidistribution(N, c, q + 1, 1)
+
+
+@pytest.mark.parametrize("c", [ExponentC(300001, 300000), ExponentC(100001, 100000)], ids=str)
+def test_bound_checks_refuse_at_once_for_large_exponent_terms(c):
+    # powers of about q would take seconds to minutes to form here
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError):
+        residue_equidistribution(10**6, c, 101, 0)
+    with pytest.raises(ValidationError):
+        square_divisor_sum(10**6, c, 10**6, np.ones_like)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_bound_checks_refuse_values_beyond_float_range():
+    with pytest.raises(ValidationError):
+        square_divisor_sum(10**6, C32, 10**400, np.ones_like)
+    with pytest.raises(GuardError):
+        residue_equidistribution(10**6, C1710, 10**400, 0)
+
+
+def test_factorization_guard_decided_at_once_for_large_exponent_terms():
+    # 10^12 = (10^6)^2 sits between x^c for the two neighbouring exponents
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError):
+        chebyshev_sum(10**6, ExponentC(300001, 150000))
+    with pytest.raises(GuardError):
+        squarefree_density(10**6, ExponentC(2000001, 1000000))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_factorization_guard_at_its_boundary():
+    from pslab.experiments import _check_values
+
+    # (10^5)^(12/5) = 10^12 exactly: the largest value factor_stream takes
+    _check_values(10**5, ExponentC(12, 5))
+    with pytest.raises(GuardError):
+        _check_values(10**5 + 1, ExponentC(12, 5))
+
+
+def test_exceeds_power_decides_n_one_and_integer_ties():
+    from pslab.experiments import _exceeds_power
+
+    # 1 = 1^e would never leave the interval route; 8 = 4^(3/2) is a tie
+    one = np.array([1, 1], dtype=np.int64)
+    assert _exceeds_power(np.array([1, 2]), one, Fraction(100001, 100000)).tolist() == [False, True]
+    assert _exceeds_power(np.array([1, 2]), one, Fraction(-1, 3)).tolist() == [False, True]
+    four = np.array([4, 4, 4], dtype=np.int64)
+    got = _exceeds_power(np.array([7, 8, 9]), four, Fraction(3, 2))
+    assert got.tolist() == [False, False, True]
+
+
+def test_convolution_count_by_lookup_at_the_guard():
+    t0 = time.perf_counter()
+    assert convolution_count(10**5, C32, np.ones_like) == 20738.0
+    assert time.perf_counter() - t0 < 2.0

@@ -1,10 +1,13 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pslab import pscore
 from pslab import (
     ExponentC,
     ValidationError,
@@ -169,6 +172,105 @@ def test_floor_pow_bulk_big_value_fallback():
     ns = np.array([10**6, 10**6 + 1], dtype=np.int64)
     bulk = floor_pow_bulk(ns, c)
     assert int(bulk[0]) == floor_pow(10**6, c)
+
+
+C_BULK = [ExponentC(*pq) for pq in [(3, 2), (21, 20), (5, 2), (1001, 1000), (41, 2)]]
+
+
+def _fit_bits(c):
+    # n_max < 2^bits with bits * p <= 62 q: floor_pow_bulk returns int64
+    return 62 * c.q // c.p
+
+
+def _check_bulk(ns, c):
+    ns = np.asarray(ns, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = floor_pow_bulk(ns, c)
+    fits = int(ns.max()).bit_length() <= _fit_bits(c)
+    assert got.dtype == (np.int64 if fits else object)
+    assert [int(v) for v in got] == [floor_pow(int(n), c) for n in ns]
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.sampled_from(C_BULK), data=st.data())
+def test_floor_pow_bulk_at_perfect_powers(c, data):
+    # n = m^q makes n^c = m^p an integer, the worst case for a float floor
+    m = data.draw(st.integers(1, integer_root(2 ** _fit_bits(c) - 3, c.q)))
+    spread = data.draw(st.integers(0, 2**20))
+    ns = [m**c.q + d for d in (-2, -1, 0, 1, 2) if m**c.q + d >= 1]
+    # a larger element widens the repair band, as in a long chunk
+    _check_bulk(ns + [min(ns[-1] + spread, 2 ** _fit_bits(c) - 1)], c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.sampled_from(C_BULK),
+    where=st.sampled_from(["2^53", "fit", "3e8"]),
+    offsets=st.lists(st.integers(-64, 64), min_size=1, max_size=16),
+)
+@example(c=C32, where="3e8", offsets=list(range(-64, 64)))
+def test_floor_pow_bulk_at_path_boundaries(c, where, offsets):
+    # values straddling 2^53, n_max on both sides of the int64 fit rule,
+    # and a window at n ~ 3e8 (c = 3/2 reaches 5.2e12 there)
+    center = {
+        "2^53": integer_root(2 ** (53 * c.q), c.p),
+        "fit": 2 ** _fit_bits(c),
+        "3e8": 3 * 10**8,
+    }[where]
+    _check_bulk([max(center + d, 1) for d in offsets], c)
+
+
+@pytest.mark.parametrize("c", C_BULK, ids=str)
+def test_floor_pow_bulk_int64_fit_rule(c):
+    top = 2 ** _fit_bits(c)
+    _check_bulk(np.arange(max(top - 8, 1), top), c)
+    _check_bulk(np.arange(max(top - 8, 1), top + 1), c)
+
+
+def test_floor_pow_bulk_repair_band_keeps_its_margin(monkeypatch):
+    # every element whose float candidate lies within 10x the largest float
+    # error seen of an integer must be settled exactly; at c = 1001/1000
+    # rounding c to float64 costs nearly the whole 2^-53 budget
+    mpmath = pytest.importorskip("mpmath")
+    c = ExponentC(1001, 1000)
+    ns = np.arange(10**12, 10**12 + 4000, dtype=np.int64)
+    settled = []
+    exact_floor_pow = pscore.floor_pow
+
+    def recorded(n, c):
+        settled.append(n)
+        return exact_floor_pow(n, c)
+
+    monkeypatch.setattr(pscore, "floor_pow", recorded)
+    floor_pow_bulk(ns, c)
+    v = np.power(ns.astype(np.float64), c.as_float)
+    with mpmath.workprec(160):
+        e = mpmath.mpf(c.p) / c.q
+        worst = max(abs(mpmath.mpf(float(vi)) - mpmath.mpf(int(n)) ** e) for n, vi in zip(ns, v))
+    dist = np.minimum(v - np.floor(v), np.ceil(v) - v)
+    must = set(ns[dist < 10.0 * float(worst)].tolist())
+    assert worst > 0 and must and must <= set(settled)
+
+
+@pytest.mark.parametrize(
+    "n, c",
+    [(2**45, ExponentC(5, 3)), (2**61, ExponentC(1001, 1000)), (10**6, ExponentC(10001, 10000))],
+)
+def test_floor_pow_fast_for_big_roots_and_orders(n, c):
+    # roots above 2^53, and orders q in the thousands, where a float seed
+    # below the root or far above it costs millions of steps
+    t0 = time.perf_counter()
+    k = floor_pow(n, c)
+    assert time.perf_counter() - t0 < 1.0
+    assert k**c.q <= n**c.p < (k + 1) ** c.q
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 2**3000), q=st.sampled_from([3, 5, 7, 20, 999, 1000, 5000]))
+def test_integer_root_bracket_any_size(m, q):
+    r = integer_root(m, q)
+    assert r**q <= m < (r + 1) ** q
 
 
 @settings(max_examples=60, deadline=None)
