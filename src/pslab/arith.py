@@ -15,6 +15,7 @@ from math import fsum, gcd, isqrt, log
 import numpy as np
 
 from .errors import GuardError, ValidationError
+from .pscore import integer_root
 
 SIEVE_LIMIT_GUARD = 10**9
 FACTOR_GUARD = 10**14
@@ -94,22 +95,17 @@ def primes_up_to(limit: int) -> SieveCache:
     if limit < 2:
         return SieveCache(limit, np.empty(0, dtype=np.int64))
 
-    base = _simple_sieve(isqrt(limit))
+    base = _simple_sieve(isqrt(limit)).tolist()
     chunks = []
-    if limit <= SEGMENT_SIZE or base.size == 0:
-        chunks.append(_simple_sieve(limit))
-    else:
-        for lo in range(2, limit + 1, SEGMENT_SIZE):
-            hi = min(lo + SEGMENT_SIZE, limit + 1)
-            seg = np.ones(hi - lo, dtype=bool)
-            for p in base:
-                p = int(p)
-                start = max(p * p, ((lo + p - 1) // p) * p)
-                if start < hi:
-                    seg[start - lo :: p] = False
-            chunks.append((np.nonzero(seg)[0] + lo).astype(np.int64))
-    primes = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    return SieveCache(limit, primes)
+    for lo in range(2, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, limit + 1)
+        seg = np.ones(hi - lo, dtype=bool)
+        for p in base:
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start < hi:
+                seg[start - lo :: p] = False
+        chunks.append((np.nonzero(seg)[0] + lo).astype(np.int64))
+    return SieveCache(limit, np.concatenate(chunks))
 
 
 def is_prime(n: int) -> bool:
@@ -341,11 +337,7 @@ def factor_stream(values: np.ndarray) -> FactorStream:
     v_max = int(v.max()) if v.size else 1
     if v_max > SQUAREFREE_BULK_MAX:
         raise GuardError(f"factor_stream supports values up to {SQUAREFREE_BULK_MAX}")
-    bound = round(v_max ** (1.0 / 3.0))
-    while bound**3 > v_max:
-        bound -= 1
-    while (bound + 1) ** 3 <= v_max:
-        bound += 1
+    bound = integer_root(v_max, 3)
     primes = _SMALL_PRIMES[: int(np.searchsorted(_SMALL_PRIMES, bound, side="right"))]
 
     # int32 halves the cost of the pass whenever the values fit

@@ -31,6 +31,10 @@ SIX_OVER_PI_SQUARED = 6.0 / np.pi**2
 # ulp; converting an int64 P errs by at most 2^-53 relative.
 POWER_BAND = 2.0**-30
 EXACT_DEN_MAX = 64  # exponents with a denominator up to this compare as P^den vs n^num
+# convolution_count's work: K Python iterations (~13 us each) and K*L sorted
+# lookups (~37 ns each) on 2 cores; each bound alone is about 0.7 s
+CONVOLUTION_K_GUARD = 5 * 10**4
+CONVOLUTION_LOOKUP_GUARD = 2 * 10**7
 Exponent = Union[float, Fraction]
 
 
@@ -82,33 +86,41 @@ def _values_upto(x: int, c: ExponentC) -> np.ndarray:
     return floor_pow_bulk(np.arange(1, x + 1, dtype=np.int64), c)
 
 
+def _check(
+    x: int, least: int, guard: int, what: str, c: Optional[ExponentC] = None, name: str = "x"
+) -> None:
+    """The harnesses' one domain-and-guard check, run before anything is
+    generated: x below least raises ValidationError; x above guard, or,
+    given c, floor(x^c) beyond factor_stream raises GuardError."""
+    if x < least:
+        raise ValidationError(f"{name} must be >= {least}")
+    if x > guard:
+        raise GuardError(f"{name}={x} exceeds the {what} guard {guard:.0e}")
+    if c is not None:
+        _check_values(x, c)
+
+
 def _check_values(x: int, c: ExponentC) -> None:
     """Refuse, before generating anything, values beyond factor_stream:
     floor(x^c) > M exactly when M + 1 > x^c fails."""
-    bound = np.array([SQUAREFREE_BULK_MAX + 1])
-    if not _exceeds_power(bound, np.array([x]), Fraction(c.p, c.q))[0]:
+    if not _exceeds(SQUAREFREE_BULK_MAX + 1, x, Fraction(c.p, c.q)):
         raise GuardError(f"floor({x}^{c}) exceeds the factorization guard {SQUAREFREE_BULK_MAX:.0e}")
+
+
+def _ms_since(t0: float) -> int:
+    return int((time.perf_counter() - t0) * 1000)
 
 
 def squarefree_density(x: int, c: ExponentC) -> ExperimentReport:
     """#{n <= x : floor(n^c) squarefree} against the density (6/pi^2) x."""
-    if x < 1:
-        raise ValidationError("x must be >= 1")
-    if x > 10**7:
-        raise GuardError(f"x={x} exceeds the squarefree guard 10^7")
-    _check_values(x, c)
+    _check(x, 1, 10**7, "squarefree", c)
     if not (1 < Fraction(c.p, c.q) < Fraction(149, 87)):
         warnings.warn(f"c={c} outside (1, 149/87); the density claim is unproven there")
     t0 = time.perf_counter()
     observed = int(np.sum(is_squarefree_bulk(_values_upto(x, c))))
-    report = ExperimentReport(
-        "squarefree_density",
-        {"x": x, "c": str(c)},
-        float(observed),
-        SIX_OVER_PI_SQUARED * x,
+    return ExperimentReport(
+        "squarefree_density", {"x": x, "c": str(c)}, float(observed), SIX_OVER_PI_SQUARED * x, _ms_since(t0)
     )
-    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 def chebyshev_sum(x: int, c: ExponentC) -> ExperimentReport:
@@ -118,18 +130,12 @@ def chebyshev_sum(x: int, c: ExponentC) -> ExperimentReport:
     ~ c x (log x - 1); at desk scale the naive c x log x would hide the
     convergence behind a ~7 percent offset.
     """
-    if x < 1:
-        raise ValidationError("x must be >= 1")
-    if x > 10**6:
-        raise GuardError(f"x={x} exceeds the Chebyshev guard 10^6")
-    _check_values(x, c)
+    _check(x, 1, 10**6, "Chebyshev", c)
     t0 = time.perf_counter()
     observed = factor_stream(_values_upto(x, c)).log_sum
-    report = ExperimentReport(
-        "chebyshev_sum", {"x": x, "c": str(c)}, observed, c.as_float * x * (log(x) - 1.0)
+    return ExperimentReport(
+        "chebyshev_sum", {"x": x, "c": str(c)}, observed, c.as_float * x * (log(x) - 1.0), _ms_since(t0)
     )
-    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 def _exceeds_power_exact(P: int, n: int, e: Fraction) -> bool:
@@ -172,6 +178,33 @@ def _exceeds_power(P: np.ndarray, ns: np.ndarray, e: Fraction) -> np.ndarray:
     return out
 
 
+def _exceeds(P: int, n: int, e: Fraction) -> bool:
+    """P > n^e for Python ints P >= 1 and 1 <= n < 2^63, decided exactly.
+
+    n = 1, e <= 0, and every P whose bit length alone puts it on one side
+    of 2^(e (bits(n) - 1)) <= n^e < 2^(e bits(n)) are settled in integers,
+    so a P of any size meets no float there; the rest goes to
+    _exceeds_power when P fits int64, else to its exact route.
+    """
+    if n == 1 or e == 0:
+        return P > 1
+    if e < 0:
+        return True  # n^e < 1 <= P
+    bits, n_bits = P.bit_length(), n.bit_length()
+    if bits - 1 >= e * n_bits:  # P >= 2^(bits-1) >= 2^(e n_bits) > n^e
+        return True
+    if bits <= e * (n_bits - 1):  # P < 2^bits <= 2^(e (n_bits-1)) <= n^e
+        return False
+    if bits < 64:
+        return bool(_exceeds_power(np.array([P]), np.array([n]), e)[0])
+    return _exceeds_power_exact(P, n, e)
+
+
+def _largest_primes(x: int, c: ExponentC) -> tuple[np.ndarray, np.ndarray]:
+    """n = 2..x and P(floor(n^c)), the stream of smooth_count and large_pf_exceed."""
+    return np.arange(2, x + 1, dtype=np.int64), factor_stream(_values_upto(x, c)[1:]).largest_prime()
+
+
 def smooth_count(x: int, c: ExponentC, eps: Exponent) -> ExperimentReport:
     """#{2 <= n <= x : P(floor(n^c)) <= n^eps} against the shape x^(1-eps).
 
@@ -180,23 +213,12 @@ def smooth_count(x: int, c: ExponentC, eps: Exponent) -> ExperimentReport:
     """
     if not (0 < eps <= 1):
         raise ValidationError(f"eps={eps} must lie in (0, 1]")
-    if x < 2:
-        raise ValidationError("x must be >= 2")
-    if x > 10**6:
-        raise GuardError(f"x={x} exceeds the smooth-count guard 10^6")
-    _check_values(x, c)
+    _check(x, 2, 10**6, "smooth-count", c)
     t0 = time.perf_counter()
-    ns = np.arange(2, x + 1, dtype=np.int64)
-    P = factor_stream(_values_upto(x, c)[1:]).largest_prime()
+    ns, P = _largest_primes(x, c)
     observed = int(np.sum(~_exceeds_power(P, ns, Fraction(eps))))
-    report = ExperimentReport(
-        "smooth_count",
-        {"x": x, "c": str(c), "eps": float(eps)},
-        float(observed),
-        float(x) ** (1.0 - float(eps)),
-    )
-    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+    params, reference = {"x": x, "c": str(c), "eps": float(eps)}, float(x) ** (1.0 - float(eps))
+    return ExperimentReport("smooth_count", params, float(observed), reference, _ms_since(t0))
 
 
 def large_pf_exceed(x: int, c: ExponentC, theta: Exponent, eps: Exponent) -> ExperimentReport:
@@ -207,28 +229,16 @@ def large_pf_exceed(x: int, c: ExponentC, theta: Exponent, eps: Exponent) -> Exp
     report's extras carry the deciles of log P(floor(n^c)) / log n, the
     empirical distribution behind the lower-bound exponent.
     """
-    if x < 2:
-        raise ValidationError("x must be >= 2")
     if not (isfinite(theta) and isfinite(eps)):
         raise ValidationError(f"theta={theta} and eps={eps} must be finite")
-    if x > 10**6:
-        raise GuardError(f"x={x} exceeds the guard 10^6")
-    _check_values(x, c)
+    _check(x, 2, 10**6, "largest-prime", c)
     t0 = time.perf_counter()
-    ns = np.arange(2, x + 1, dtype=np.int64)
-    P = factor_stream(_values_upto(x, c)[1:]).largest_prime()
+    ns, P = _largest_primes(x, c)
     observed = int(np.sum(_exceeds_power(P, ns, Fraction(theta) - Fraction(eps))))
     exponents = np.log(P.astype(np.float64)) / np.log(ns.astype(np.float64))
     deciles = {f"d{k}0": float(np.percentile(exponents, 10 * k)) for k in range(1, 10)}
-    report = ExperimentReport(
-        "large_pf_exceed",
-        {"x": x, "c": str(c), "theta": float(theta), "eps": float(eps)},
-        float(observed),
-        float(x),
-        extras=deciles,
-    )
-    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+    params = {"x": x, "c": str(c), "theta": float(theta), "eps": float(eps)}
+    return ExperimentReport("large_pf_exceed", params, float(observed), float(x), _ms_since(t0), deciles)
 
 
 def square_divisor_sum(
@@ -243,15 +253,13 @@ def square_divisor_sum(
     Returns (lhs, rhs).  The proposition's epsilon-ranges are surfaced as
     warnings so boundary behaviour stays probeable.
     """
-    if x < 1 or D < 1:
-        raise ValidationError("x and D must be >= 1")
-    if x > 10**6:
-        raise GuardError(f"x={x} exceeds the guard 10^6")
-    e, Ds, xs = Fraction(c.p, c.q), np.array([D]), np.array([x])
-    # D >= 2^(bits(x) c/2) > x^(c/2) is refused before D meets a float
-    if 2 * c.q * (D.bit_length() - 1) >= c.p * x.bit_length() or _exceeds_power(Ds, xs, e / 2)[0]:
+    if D < 1:
+        raise ValidationError("D must be >= 1")
+    _check(x, 1, 10**6, "square-divisor")
+    e = Fraction(c.p, c.q)
+    if _exceeds(D, x, e / 2):
         raise ValidationError(f"D={D} exceeds x^(c/2)")
-    if _exceeds_power(Ds, xs, 2 - e)[0]:
+    if _exceeds(D, x, 2 - e):
         warnings.warn("D beyond x^(2-c): outside the proven main-term range")
     ds = np.arange(D + 1, 2 * D + 1, dtype=np.int64)
     zd = np.asarray(z(ds), dtype=np.float64)
@@ -270,13 +278,11 @@ def square_divisor_sum(
 
 def residue_equidistribution(N: int, c: ExponentC, q: int, a: int) -> ExperimentReport:
     """#{n ~ N : floor(n^c) = a (mod q)} against the uniform share N/q."""
-    if N < 1 or q < 1:
-        raise ValidationError("N and q must be >= 1")
-    if N > 10**6:
-        raise GuardError(f"N={N} exceeds the guard 10^6")
+    if q < 1:
+        raise ValidationError("q must be >= 1")
+    _check(N, 1, 10**6, "residue", name="N")
     e = Fraction(c.p, c.q)
-    # q > N > N^((3-c)/6) is refused before q meets a float
-    if q > N or _exceeds_power(np.array([q]), np.array([N]), (3 - e) / 6)[0]:
+    if _exceeds(q, N, (3 - e) / 6):
         raise GuardError(f"q={q} exceeds the admissible range N^((3-c)/6)")
     if not (Fraction(3, 2) < e < 2):
         warnings.warn(f"c={c} outside (3/2, 2); the equidistribution claim is unproven there")
@@ -284,14 +290,8 @@ def residue_equidistribution(N: int, c: ExponentC, q: int, a: int) -> Experiment
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     vals = floor_pow_bulk(ns, c)
     observed = int(np.sum(vals % q == a % q))
-    report = ExperimentReport(
-        "residue_equidistribution",
-        {"N": N, "c": str(c), "q": q, "a": a},
-        float(observed),
-        N / q,
-    )
-    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+    params = {"N": N, "c": str(c), "q": q, "a": a}
+    return ExperimentReport("residue_equidistribution", params, float(observed), N / q, _ms_since(t0))
 
 
 def convolution_count(
@@ -308,14 +308,12 @@ def convolution_count(
     preimage n <= x by construction.  The products stay below
     4KL <= 0.8 x^c, inside the generated range.
     """
-    if x < 2:
-        raise ValidationError("x must be >= 2")
-    if x > 10**5:
-        raise GuardError(f"x={x} exceeds the convolution guard 10^5")
-    cf = c.as_float
-    K = int(float(x) ** (cf - 1.0 + 6.0 * eps))
-    L = int(float(x) ** (1.0 - 6.0 * eps) / 5.0)
-    K, L = max(K, 1), max(L, 1)
+    _check(x, 2, 10**5, "convolution")
+    # exponents past 60 would overflow the float power; x^60 >= 2^60 is refused all the same
+    K = max(int(float(x) ** min(c.as_float - 1.0 + 6.0 * eps, 60.0)), 1)
+    L = max(int(float(x) ** (1.0 - 6.0 * eps) / 5.0), 1)
+    _check(K, 1, CONVOLUTION_K_GUARD, "convolution k-range", name="K")
+    _check(K * L, 1, CONVOLUTION_LOOKUP_GUARD, "convolution lookup", name="K*L")
     ks = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
     ls = np.arange(L + 1, 2 * L + 1, dtype=np.int64)
     ak = np.asarray(predicate(ks), dtype=np.float64)

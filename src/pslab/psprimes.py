@@ -43,6 +43,8 @@ class ApQuery:
 
 
 def _progression_primes(x: int, d: int, a: int) -> np.ndarray:
+    if d < 1:
+        raise ValidationError(f"modulus d={d} must be >= 1")
     if x > X_GUARD:
         raise GuardError(f"x={x} exceeds the guard {X_GUARD}")
     primes = primes_up_to(x).primes

@@ -42,6 +42,14 @@ def test_sieve_segmented_matches_simple():
     assert np.array_equal(seg, np.nonzero(flags)[0])
 
 
+def test_sieve_one_route_matches_simple_sieve():
+    from pslab.arith import SEGMENT_SIZE, _simple_sieve
+
+    limits = [*range(3000), SEGMENT_SIZE - 1, SEGMENT_SIZE, SEGMENT_SIZE + 1, 2 * SEGMENT_SIZE + 7]
+    for limit in limits:
+        assert np.array_equal(primes_up_to(limit).primes, _simple_sieve(limit)), limit
+
+
 def test_sieve_guard():
     with pytest.raises(GuardError):
         primes_up_to(10**9 + 1)

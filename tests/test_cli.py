@@ -103,6 +103,13 @@ def test_primes_commands(capsys):
     assert code == 0 and float(out.strip()) > 0
 
 
+@pytest.mark.parametrize("cmd", ["count", "log-weight"])
+def test_primes_modulus_zero_is_a_usage_error(capsys, cmd):
+    code, out, err = run(capsys, "primes", cmd, "--x", "100", "--d", "0", "--a", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_carmichael_search_json_lines(capsys):
     code, out, _ = run(capsys, "carmichael", "search", "--limit", "2000", "--c", "1001/1000")
     assert code == 0

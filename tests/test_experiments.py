@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab import (
     ExponentC,
@@ -13,6 +15,7 @@ from pslab import (
     chebyshev_sum,
     convolution_count,
     floor_pow,
+    integer_root,
     large_pf_exceed,
     largest_prime_factor,
     residue_equidistribution,
@@ -361,3 +364,78 @@ def test_convolution_count_by_lookup_at_the_guard():
     t0 = time.perf_counter()
     assert convolution_count(10**5, C32, np.ones_like) == 20738.0
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_exceeds_decides_operands_beyond_float_range():
+    from pslab.experiments import _exceeds
+
+    big = 10**400
+    assert _exceeds(big, 10**6, Fraction(3, 2))
+    assert _exceeds(big, 10**6, Fraction(-1, 6))
+    assert not _exceeds(big, 10**6, Fraction(100))  # 10^600
+    # ties P = n^e that the bit lengths cannot settle: P^den against n^num
+    assert not _exceeds(big, 10, Fraction(400))
+    assert _exceeds(big + 1, 10, Fraction(400))
+    assert not _exceeds(big, 1000, Fraction(400, 3))
+    assert _exceeds(big + 1, 1000, Fraction(400, 3))
+
+
+def test_exceeds_at_n_one_zero_and_negative_exponents_and_ties():
+    from pslab.experiments import _exceeds
+
+    assert not _exceeds(1, 1, Fraction(-1, 3))  # 1^e = 1
+    assert _exceeds(1, 2, Fraction(-1, 3))  # 2^(-1/3) < 1
+    assert not _exceeds(1, 7, Fraction(0))  # 1 is not > 7^0
+    assert _exceeds(2, 7, Fraction(0))
+    assert [_exceeds(P, 4, Fraction(3, 2)) for P in (7, 8, 9)] == [False, False, True]
+
+
+def _exceeds_oracle(P, n, e):
+    num, den = e.numerator, e.denominator
+    return P**den > n**num if num >= 0 else P**den * n**-num > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10**7),
+    num=st.integers(-40, 200),
+    den=st.integers(1, 100),
+    offset=st.integers(-2, 2),
+    scale=st.integers(0, 3),
+)
+def test_exceeds_matches_integer_oracle(n, num, den, offset, scale):
+    # P near n^e, then scaled by 2^scale: ties, near-ties and bit-length splits;
+    # denominators past 64 reach the interval route
+    from pslab.experiments import _exceeds
+
+    e = Fraction(num, den)
+    root = integer_root(n**num, den) if num >= 0 else 1
+    P = max(1, (root << scale) + offset)
+    assert _exceeds(P, n, e) == _exceeds_oracle(P, n, e)
+
+
+def test_residue_refuses_huge_modulus_at_negative_exponent_at_once():
+    # (3 - 7/2)/6 < 0: the range check must not meet a float
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError):
+        residue_equidistribution(10**6, ExponentC(7, 2), 10**400, 0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "x, c",
+    # K = 2.6e5; K = 6.3e4 with K*L = 6.3e8; K = 1.3e5 with K*L = 6.9e6 (K alone
+    # over its bound); x^(c-1+6 eps) beyond float range
+    [
+        (3000, ExponentC(5, 2)),
+        (10**5, ExponentC(19, 10)),
+        (400, ExponentC(29, 10)),
+        (10**5, ExponentC(201, 2)),
+    ],
+)
+def test_convolution_count_refuses_work_beyond_its_guard_at_once(x, c):
+    # K = x^(c-1+6 eps) Python iterations and K*L lookups are bounded, not x alone
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError, match="guard"):
+        convolution_count(x, c, np.ones_like)
+    assert time.perf_counter() - t0 < 1.0

@@ -46,6 +46,17 @@ def test_pi_ap_query_validation():
         ApQuery(10**9 + 1, 1, 0, C32)
 
 
+def test_pi_ap_and_theta_ap_refuse_a_modulus_below_one():
+    for d in (0, -3):
+        with pytest.raises(ValidationError):
+            pi_ap(100, d, 1)
+        with pytest.raises(ValidationError):
+            theta_ap(100, d, 1)
+    # a non-coprime residue still counts the one prime it can hold
+    assert pi_ap(100, 4, 2) == 1 and pi_ap(100, 6, 3) == 1 and pi_ap(100, 10, 4) == 0
+    assert abs(theta_ap(100, 4, 2) - math.log(2)) < 1e-12
+
+
 def test_theta_ap_example():
     assert abs(theta_ap(10, 1, 0) - math.log(210)) < 1e-12
 

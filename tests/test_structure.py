@@ -1,6 +1,7 @@
 """One path per job: the package keeps a single thread pool, a single chunk
 constant, no smallest-prime-factor table route, one vectorized route in
-floor_pow_bulk and one sorted-array membership lookup."""
+floor_pow_bulk, one sorted-array membership lookup, one sieve route, one
+scalar power comparison, and reports built once."""
 import inspect
 import re
 from pathlib import Path
@@ -52,3 +53,21 @@ def test_one_membership_lookup():
     assert "def in_sorted(" in SOURCES["pscore.py"]
     assert all("in_sorted(" in SOURCES[name] for name in ("psprimes.py", "experiments.py"))
     assert "is_ps_value(" not in SOURCES["experiments.py"]
+
+
+def test_reports_are_built_once_with_their_runtime():
+    source = SOURCES["experiments.py"]
+    # no report gets its runtime patched on after it is built
+    assert re.findall(r"runtime_ms\s*=", source) == []
+    assert len(re.findall(r"ExperimentReport\(", source)) == source.count("_ms_since(t0)") == 5
+
+
+def test_bit_lengths_only_in_the_scalar_comparison():
+    scalar = inspect.getsource(experiments._exceeds)
+    assert SOURCES["experiments.py"].count("bit_length") == scalar.count("bit_length") > 0
+
+
+def test_primes_up_to_has_one_sieve_route():
+    from pslab import arith
+
+    assert inspect.getsource(arith.primes_up_to).count("_simple_sieve(") == 1
