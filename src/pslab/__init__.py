@@ -37,7 +37,6 @@ from .experiments import (
 )
 from .exppairs import (
     ExpPair,
-    Rational,
     a_process,
     apply_chain,
     b_process,

@@ -14,7 +14,7 @@ from math import fsum, gcd, isqrt, log
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import GuardError, ValidationError, check_range
 from .pscore import integer_root
 
 SIEVE_LIMIT_GUARD = 10**9
@@ -87,10 +87,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 def primes_up_to(limit: int) -> SieveCache:
     """Segmented sieve of Eratosthenes; exact prime list up to ``limit``."""
-    if limit < 0:
-        raise ValidationError(f"limit must be nonnegative, got {limit}")
-    if limit > SIEVE_LIMIT_GUARD:
-        raise GuardError(f"sieve limit {limit} exceeds the guard {SIEVE_LIMIT_GUARD}")
+    check_range(limit, 0, SIEVE_LIMIT_GUARD, "sieve", name="limit")
 
     if limit < 2:
         return SieveCache(limit, np.empty(0, dtype=np.int64))
@@ -180,10 +177,7 @@ def factorize(m: int) -> FactorMap:
     Trial division by sieved primes handles the small part; the cofactor is
     settled by the deterministic primality test and rho splitting.
     """
-    if m < 1:
-        raise ValidationError(f"factorize requires m >= 1, got {m}")
-    if m > FACTOR_GUARD:
-        raise GuardError(f"m={m} exceeds the factorization guard {FACTOR_GUARD}")
+    check_range(m, 1, FACTOR_GUARD, "factorization", name="m")
     if m == 1:
         return FactorMap(())
 
@@ -335,8 +329,7 @@ def factor_stream(values: np.ndarray) -> FactorStream:
     if v.size and int(v.min()) < 1:
         raise ValidationError("factor_stream requires values >= 1")
     v_max = int(v.max()) if v.size else 1
-    if v_max > SQUAREFREE_BULK_MAX:
-        raise GuardError(f"factor_stream supports values up to {SQUAREFREE_BULK_MAX}")
+    check_range(v_max, 1, SQUAREFREE_BULK_MAX, "factor_stream value", name="largest value")
     bound = integer_root(v_max, 3)
     primes = _SMALL_PRIMES[: int(np.searchsorted(_SMALL_PRIMES, bound, side="right"))]
 
@@ -384,10 +377,7 @@ def mobius_up_to(limit: int) -> np.ndarray:
     Sign flips come from one pass per prime; a second stride per prime
     zeroes the multiples of p^2.
     """
-    if limit < 1:
-        raise ValidationError(f"limit must be >= 1, got {limit}")
-    if limit > MOBIUS_LIMIT_GUARD:
-        raise GuardError(f"mobius limit {limit} exceeds the guard {MOBIUS_LIMIT_GUARD}")
+    check_range(limit, 1, MOBIUS_LIMIT_GUARD, "mobius", name="limit")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     if limit < 2:

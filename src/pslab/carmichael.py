@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import FactorMap, factorize, primes_up_to
-from .errors import GuardError, ValidationError
+from .errors import ValidationError, check_range
 from .pscore import ExponentC, is_ps_value
 
 SEARCH_GUARD = 10**9
@@ -86,8 +86,7 @@ def carmichael_numbers_up_to(limit: int) -> list[int]:
     segment multiplies the primes p meeting that.  N is Carmichael exactly
     when the product is N (so N is squarefree) with at least three factors.
     """
-    if limit > SEARCH_GUARD:
-        raise GuardError(f"limit {limit} exceeds the guard {SEARCH_GUARD}")
+    check_range(limit, 0, SEARCH_GUARD, "Carmichael search", name="limit")
     if limit < 561:
         return []
     sieving = [int(p) for p in primes_up_to(isqrt(limit)).primes[1:]]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -18,27 +17,7 @@ from . import carmichael as carm
 from . import experiments as xp
 from . import exppairs, expsum, psprimes, sawtooth
 from .errors import GuardError, RouteDisagreementError, ValidationError
-from .pscore import ExponentC, count_decomposition, floor_pow, is_ps_value, ps_values_in
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: the sum eval worker count and I/O choices."""
-
-    threads: int = 1
-    fmt: str = "csv"
-    output: Optional[str] = None
-
-
-def _parse_fraction(text: str) -> Fraction:
-    s = text.strip()
-    if "/" not in s:
-        raise ValidationError(f"{text!r} must be a rational like 7039/10000")
-    num, _, den = s.partition("/")
-    try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse rational {text!r}") from exc
+from .pscore import ExponentC, count_decomposition, floor_pow, is_ps_value, parse_rational, ps_values_in
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -58,26 +37,26 @@ def emit_plot_data(rows: Sequence[Sequence], header: Sequence[str], path: Option
     _write("\n".join(lines), path)
 
 
-def _emit_reports(reports: list[xp.ExperimentReport], cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
+def _emit_reports(reports: list[xp.ExperimentReport], fmt: str, output: Optional[str]) -> None:
+    if fmt == "csv":
         lines = [xp.ExperimentReport.CSV_HEADER] + [r.to_csv_row() for r in reports]
-        _write("\n".join(lines), cfg.output)
-    elif cfg.fmt == "json":
-        _write("\n".join(r.to_json() for r in reports), cfg.output)
-    elif cfg.fmt == "tsv-plot":
+        _write("\n".join(lines), output)
+    elif fmt == "json":
+        _write("\n".join(r.to_json() for r in reports), output)
+    elif fmt == "tsv-plot":
         xkey = "x" if "x" in reports[0].params else "N"
         emit_plot_data(
-            [(r.params[xkey], r.ratio) for r in reports], (xkey, "ratio"), cfg.output
+            [(r.params[xkey], r.ratio) for r in reports], (xkey, "ratio"), output
         )
     else:
-        raise ValidationError(f"unknown format {cfg.fmt!r}")
+        raise ValidationError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_ps(args, cfg: RunConfig) -> None:
+def _cmd_ps(args) -> None:
     c = ExponentC.parse(args.c)
     if args.ps_cmd == "floor":
         print(floor_pow(args.n, c))
@@ -94,12 +73,12 @@ def _cmd_ps(args, cfg: RunConfig) -> None:
         print(f"main={main!r} correction={corr!r} exact={exact!r} residual={exact-main-corr!r}")
 
 
-def _cmd_pairs(args, cfg: RunConfig) -> None:
+def _cmd_pairs(args) -> None:
     if args.pairs_cmd == "chain":
-        pair = exppairs.ExpPair(_parse_fraction(args.kappa), _parse_fraction(getattr(args, "lambda")))
+        pair = exppairs.ExpPair(parse_rational(args.kappa), parse_rational(getattr(args, "lambda")))
         print(exppairs.format_pair(exppairs.apply_chain(args.ops, pair)))
     elif args.pairs_cmd == "exponent":
-        c = _parse_fraction(args.c)
+        c = parse_rational(args.c)
         print(exppairs.format_rational(exppairs.lpf_exponent(c)))
     elif args.pairs_cmd == "exponent-table":
         lo, hi = Fraction(243, 205), Fraction(2)
@@ -107,26 +86,29 @@ def _cmd_pairs(args, cfg: RunConfig) -> None:
         for i in range(args.samples):
             c = lo + (hi - lo) * Fraction(i, args.samples)
             rows.append((f"{c.numerator}/{c.denominator}", float(exppairs.lpf_exponent(c))))
-        emit_plot_data(rows, ("c", "exponent"), cfg.output)
+        emit_plot_data(rows, ("c", "exponent"), None)
     elif args.pairs_cmd == "sv-threshold":
-        pair = exppairs.ExpPair(_parse_fraction(args.kappa), _parse_fraction(getattr(args, "lambda")))
+        pair = exppairs.ExpPair(parse_rational(args.kappa), parse_rational(getattr(args, "lambda")))
         print(exppairs.format_rational(exppairs.smooth_values_c_threshold(pair)))
     elif args.pairs_cmd == "square-divisibility-threshold":
         print(exppairs.format_rational(exppairs.square_divisibility_threshold()))
     elif args.pairs_cmd == "carmichael-threshold":
-        print(exppairs.format_rational(exppairs.carmichael_threshold(_parse_fraction(args.E))))
+        print(exppairs.format_rational(exppairs.carmichael_threshold(parse_rational(args.E))))
 
 
 def _series(arg: Optional[str], default: int) -> list[int]:
     if not arg:
         return [default]
     try:
-        return [int(s) for s in arg.split(",") if s.strip()]
+        xs = [int(s) for s in arg.split(",") if s.strip()]
     except ValueError as exc:
         raise ValidationError(f"--series {arg!r} must be a comma list of integers") from exc
+    if not xs:
+        raise ValidationError(f"--series {arg!r} lists no x value")
+    return xs
 
 
-def _cmd_experiment(args, cfg: RunConfig) -> None:
+def _cmd_experiment(args) -> None:
     c = ExponentC.parse(args.c)
     reports: list[xp.ExperimentReport] = []
     if args.exp_cmd == "squarefree":
@@ -148,7 +130,7 @@ def _cmd_experiment(args, cfg: RunConfig) -> None:
             )
             for x in _series(args.series, args.x):
                 reports.append(xp.large_pf_exceed(x, ci, theta, args.eps))
-        if cfg.fmt == "tsv-plot":
+        if args.fmt == "tsv-plot":
             # decile columns per exponent: (c, d10, ..., d90)
             emit_plot_data(
                 [
@@ -156,10 +138,11 @@ def _cmd_experiment(args, cfg: RunConfig) -> None:
                     for r in reports
                 ],
                 ["c"] + [f"d{k}0" for k in range(1, 10)],
-                cfg.output,
+                args.output,
             )
             return
     elif args.exp_cmd == "residues":
+        # the harness checks q too, but without --a, range(q) is empty and it is never called
         if args.q < 1:
             raise ValidationError(f"q={args.q} must be >= 1")
         residues = range(args.q) if args.a is None else [args.a]
@@ -177,49 +160,46 @@ def _cmd_experiment(args, cfg: RunConfig) -> None:
         total = xp.convolution_count(args.x, c, np.ones_like)
         print(repr(total))
         return
-    _emit_reports(reports, cfg)
+    _emit_reports(reports, args.fmt, args.output)
 
 
-def _cmd_primes(args, cfg: RunConfig) -> None:
-    if args.primes_cmd == "count":
-        if args.c is None:
+def _cmd_primes(args) -> None:
+    if args.c is None:  # only count and log-weight leave --c out: all primes
+        if args.primes_cmd == "count":
             print(psprimes.pi_ap(args.x, args.d, args.a))
         else:
-            q = psprimes.ApQuery(args.x, args.d, args.a, ExponentC.parse(args.c))
-            print(psprimes.pi_c_ap(q))
-    elif args.primes_cmd == "log-weight":
-        if args.c is None:
             print(repr(psprimes.theta_ap(args.x, args.d, args.a)))
-        else:
-            q = psprimes.ApQuery(args.x, args.d, args.a, ExponentC.parse(args.c))
-            print(repr(psprimes.vartheta_c_ap(q)))
+        return
+    q = psprimes.ApQuery(args.x, args.d, args.a, ExponentC.parse(args.c))
+    if args.primes_cmd == "count":
+        print(psprimes.pi_c_ap(q))
+    elif args.primes_cmd == "log-weight":
+        print(repr(psprimes.vartheta_c_ap(q)))
     elif args.primes_cmd == "main-term":
-        q = psprimes.ApQuery(args.x, args.d, args.a, ExponentC.parse(args.c))
         print(repr(psprimes.ap_main_term(q)))
     elif args.primes_cmd == "bt-ratio":
-        q = psprimes.ApQuery(args.x, args.d, args.a, ExponentC.parse(args.c))
         print(repr(psprimes.brun_titchmarsh_report(q)))
 
 
-def _cmd_carmichael(args, cfg: RunConfig) -> None:
+def _cmd_carmichael(args) -> None:
     c = ExponentC.parse(args.c)
     if args.carm_cmd == "search":
         records = carm.search_ps_carmichael(args.limit, c, require_all=not args.all)
         lines = [r.to_json_line(c) for r in records]
-        _write("\n".join(lines) if lines else "", cfg.output)
+        _write("\n".join(lines) if lines else "", args.output)
     elif args.carm_cmd == "check":
         rec = carm.is_ps_carmichael(args.N, c)
         print(rec.to_json_line(c) if rec else f"{args.N} rejected")
 
 
-def _cmd_sum(args, cfg: RunConfig) -> None:
+def _cmd_sum(args) -> None:
     if args.sum_cmd == "eval":
         text = args.instance
         if os.path.exists(args.instance):
             with open(args.instance, encoding="utf-8") as fh:
                 text = fh.read()
         inst = expsum.SumInstance.from_json(text)
-        value = expsum.eval_sum(inst, threads=cfg.threads)
+        value = expsum.eval_sum(inst, threads=args.threads)
         print(f"{value.real!r} {value.imag!r} abs={abs(value)!r}")
     elif args.sum_cmd == "bound":
         if args.kind == "vdc2":
@@ -232,10 +212,12 @@ def _cmd_sum(args, cfg: RunConfig) -> None:
             print(repr(expsum.bound_trilinear(args.M, args.N, args.F)))
 
 
-def _cmd_sawtooth(args, cfg: RunConfig) -> None:
+def _cmd_sawtooth(args) -> None:
     import numpy as np
 
     if args.saw_cmd == "vaaler-check":
+        if args.grid < 1:
+            raise ValidationError(f"--grid {args.grid} must be >= 1")
         kernel = sawtooth.vaaler_kernel(args.H)
         t = np.linspace(0.0, 1.0, args.grid, endpoint=False)
         err = np.abs(sawtooth.psi(t) - kernel.approx(t))
@@ -412,12 +394,8 @@ def _threads(flag: Optional[int]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            threads=_threads(args.threads),
-            fmt=getattr(args, "fmt", "csv"),
-            output=getattr(args, "output", None),
-        )
-        _HANDLERS[args.group](args, cfg)
+        args.threads = _threads(args.threads)
+        _HANDLERS[args.group](args)
     except RouteDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

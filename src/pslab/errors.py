@@ -24,3 +24,13 @@ class RouteDisagreementError(PslabError):
     Raised only when an internal cross-check fails; signals an
     implementation bug rather than bad input.
     """
+
+
+def check_range(value: int, least: int, guard: int, what: str, name: str = "x") -> None:
+    """The one domain-and-guard check, run before any work starts: a value
+    below ``least`` raises ValidationError (exit 2), a value above ``guard``
+    raises GuardError (exit 3)."""
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if value > guard:
+        raise GuardError(f"{name}={value} exceeds the {what} guard {guard:.0e}")

@@ -15,13 +15,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum, isfinite, log
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .arith import SQUAREFREE_BULK_MAX, factor_stream, is_squarefree_bulk
 from .arith import factorize, primes_up_to  # unused here; perfbench/tracing.py wraps these names
-from .errors import GuardError, ValidationError
+from .errors import GuardError, ValidationError, check_range
 from .pscore import ExponentC, floor_pow_bulk, in_sorted
 
 SIX_OVER_PI_SQUARED = 6.0 / np.pi**2
@@ -35,6 +35,7 @@ EXACT_DEN_MAX = 64  # exponents with a denominator up to this compare as P^den v
 # lookups (~37 ns each) on 2 cores; each bound alone is about 0.7 s
 CONVOLUTION_K_GUARD = 5 * 10**4
 CONVOLUTION_LOOKUP_GUARD = 2 * 10**7
+CONVOLUTION_EPS = 0.01  # the dyadic box: K = x^(c-1+6 eps), L = x^(1-6 eps)/5
 Exponent = Union[float, Fraction]
 
 
@@ -86,20 +87,6 @@ def _values_upto(x: int, c: ExponentC) -> np.ndarray:
     return floor_pow_bulk(np.arange(1, x + 1, dtype=np.int64), c)
 
 
-def _check(
-    x: int, least: int, guard: int, what: str, c: Optional[ExponentC] = None, name: str = "x"
-) -> None:
-    """The harnesses' one domain-and-guard check, run before anything is
-    generated: x below least raises ValidationError; x above guard, or,
-    given c, floor(x^c) beyond factor_stream raises GuardError."""
-    if x < least:
-        raise ValidationError(f"{name} must be >= {least}")
-    if x > guard:
-        raise GuardError(f"{name}={x} exceeds the {what} guard {guard:.0e}")
-    if c is not None:
-        _check_values(x, c)
-
-
 def _check_values(x: int, c: ExponentC) -> None:
     """Refuse, before generating anything, values beyond factor_stream:
     floor(x^c) > M exactly when M + 1 > x^c fails."""
@@ -113,7 +100,8 @@ def _ms_since(t0: float) -> int:
 
 def squarefree_density(x: int, c: ExponentC) -> ExperimentReport:
     """#{n <= x : floor(n^c) squarefree} against the density (6/pi^2) x."""
-    _check(x, 1, 10**7, "squarefree", c)
+    check_range(x, 1, 10**7, "squarefree")
+    _check_values(x, c)
     if not (1 < Fraction(c.p, c.q) < Fraction(149, 87)):
         warnings.warn(f"c={c} outside (1, 149/87); the density claim is unproven there")
     t0 = time.perf_counter()
@@ -130,7 +118,8 @@ def chebyshev_sum(x: int, c: ExponentC) -> ExperimentReport:
     ~ c x (log x - 1); at desk scale the naive c x log x would hide the
     convergence behind a ~7 percent offset.
     """
-    _check(x, 1, 10**6, "Chebyshev", c)
+    check_range(x, 1, 10**6, "Chebyshev")
+    _check_values(x, c)
     t0 = time.perf_counter()
     observed = factor_stream(_values_upto(x, c)).log_sum
     return ExperimentReport(
@@ -138,10 +127,43 @@ def chebyshev_sum(x: int, c: ExponentC) -> ExperimentReport:
     )
 
 
-def _exceeds_power_exact(P: int, n: int, e: Fraction) -> bool:
+def _exceeds_power(P: np.ndarray, ns: np.ndarray, e: Fraction) -> np.ndarray:
+    """P > n^e elementwise, for integers P >= 1 and int64 n >= 1, decided
+    exactly.
+
+    The float64 comparison decides every element whose P lies outside a
+    relative POWER_BAND around n^e; the scalar _exceeds decides the rest.
+    """
+    f = ns.astype(np.float64) ** float(e)
+    Pf = P.astype(np.float64)
+    out = Pf > f
+    band = (np.abs(Pf - f) <= POWER_BAND * f) & np.isfinite(f)
+    for i in np.flatnonzero(band):
+        out[i] = _exceeds(int(P[i]), int(ns[i]), e)
+    return out
+
+
+def _exceeds(P: int, n: int, e: Fraction) -> bool:
+    """P > n^e for Python ints P >= 1 and 1 <= n < 2^63, decided exactly.
+
+    n = 1, e <= 0, and every P whose bit length alone puts it on one side
+    of 2^(e (bits(n) - 1)) <= n^e < 2^(e bits(n)) are settled at once, so a
+    P of any size meets no float; the rest are decided in integers as
+    P^den > n^num when e has a denominator up to EXACT_DEN_MAX, and
+    otherwise by interval enclosures of log P and e log n at rising
+    precision.
+    """
+    if n == 1 or e == 0:
+        return P > 1
+    if e < 0:
+        return True  # n^e < 1 <= P
+    bits, n_bits = P.bit_length(), n.bit_length()
+    if bits - 1 >= e * n_bits:  # P >= 2^(bits-1) >= 2^(e n_bits) > n^e
+        return True
+    if bits <= e * (n_bits - 1):  # P < 2^bits <= 2^(e (n_bits-1)) <= n^e
+        return False
     if e.denominator <= EXACT_DEN_MAX:
-        num, den = e.numerator, e.denominator
-        return P**den > n**num if num >= 0 else P**den * n**-num > 1
+        return P**e.denominator > n**e.numerator
     from mpmath.ctx_iv import MPIntervalContext
 
     iv = MPIntervalContext()  # a private context: its precision is ours to raise
@@ -159,47 +181,6 @@ def _exceeds_power_exact(P: int, n: int, e: Fraction) -> bool:
         iv.prec *= 2
 
 
-def _exceeds_power(P: np.ndarray, ns: np.ndarray, e: Fraction) -> np.ndarray:
-    """P > n^e elementwise, for integers P >= 1 and int64 n >= 1, decided
-    exactly.
-
-    The float64 comparison decides n = 1, where it is exact (pow(1, e) = 1),
-    and every element whose P lies outside a relative POWER_BAND around
-    n^e; the rest are decided in integers as P^den > n^num when e has a
-    denominator up to EXACT_DEN_MAX, and otherwise by interval enclosures
-    of log P and e log n at rising precision.
-    """
-    f = ns.astype(np.float64) ** float(e)
-    Pf = P.astype(np.float64)
-    out = Pf > f
-    band = (np.abs(Pf - f) <= POWER_BAND * f) & np.isfinite(f) & (ns > 1)
-    for i in np.flatnonzero(band):
-        out[i] = _exceeds_power_exact(int(P[i]), int(ns[i]), e)
-    return out
-
-
-def _exceeds(P: int, n: int, e: Fraction) -> bool:
-    """P > n^e for Python ints P >= 1 and 1 <= n < 2^63, decided exactly.
-
-    n = 1, e <= 0, and every P whose bit length alone puts it on one side
-    of 2^(e (bits(n) - 1)) <= n^e < 2^(e bits(n)) are settled in integers,
-    so a P of any size meets no float there; the rest goes to
-    _exceeds_power when P fits int64, else to its exact route.
-    """
-    if n == 1 or e == 0:
-        return P > 1
-    if e < 0:
-        return True  # n^e < 1 <= P
-    bits, n_bits = P.bit_length(), n.bit_length()
-    if bits - 1 >= e * n_bits:  # P >= 2^(bits-1) >= 2^(e n_bits) > n^e
-        return True
-    if bits <= e * (n_bits - 1):  # P < 2^bits <= 2^(e (n_bits-1)) <= n^e
-        return False
-    if bits < 64:
-        return bool(_exceeds_power(np.array([P]), np.array([n]), e)[0])
-    return _exceeds_power_exact(P, n, e)
-
-
 def _largest_primes(x: int, c: ExponentC) -> tuple[np.ndarray, np.ndarray]:
     """n = 2..x and P(floor(n^c)), the stream of smooth_count and large_pf_exceed."""
     return np.arange(2, x + 1, dtype=np.int64), factor_stream(_values_upto(x, c)[1:]).largest_prime()
@@ -213,7 +194,8 @@ def smooth_count(x: int, c: ExponentC, eps: Exponent) -> ExperimentReport:
     """
     if not (0 < eps <= 1):
         raise ValidationError(f"eps={eps} must lie in (0, 1]")
-    _check(x, 2, 10**6, "smooth-count", c)
+    check_range(x, 2, 10**6, "smooth-count")
+    _check_values(x, c)
     t0 = time.perf_counter()
     ns, P = _largest_primes(x, c)
     observed = int(np.sum(~_exceeds_power(P, ns, Fraction(eps))))
@@ -231,7 +213,8 @@ def large_pf_exceed(x: int, c: ExponentC, theta: Exponent, eps: Exponent) -> Exp
     """
     if not (isfinite(theta) and isfinite(eps)):
         raise ValidationError(f"theta={theta} and eps={eps} must be finite")
-    _check(x, 2, 10**6, "largest-prime", c)
+    check_range(x, 2, 10**6, "largest-prime")
+    _check_values(x, c)
     t0 = time.perf_counter()
     ns, P = _largest_primes(x, c)
     observed = int(np.sum(_exceeds_power(P, ns, Fraction(theta) - Fraction(eps))))
@@ -255,7 +238,7 @@ def square_divisor_sum(
     """
     if D < 1:
         raise ValidationError("D must be >= 1")
-    _check(x, 1, 10**6, "square-divisor")
+    check_range(x, 1, 10**6, "square-divisor")
     e = Fraction(c.p, c.q)
     if _exceeds(D, x, e / 2):
         raise ValidationError(f"D={D} exceeds x^(c/2)")
@@ -280,7 +263,7 @@ def residue_equidistribution(N: int, c: ExponentC, q: int, a: int) -> Experiment
     """#{n ~ N : floor(n^c) = a (mod q)} against the uniform share N/q."""
     if q < 1:
         raise ValidationError("q must be >= 1")
-    _check(N, 1, 10**6, "residue", name="N")
+    check_range(N, 1, 10**6, "residue", name="N")
     e = Fraction(c.p, c.q)
     if _exceeds(q, N, (3 - e) / 6):
         raise GuardError(f"q={q} exceeds the admissible range N^((3-c)/6)")
@@ -298,22 +281,22 @@ def convolution_count(
     x: int,
     c: ExponentC,
     predicate: Callable[[np.ndarray], np.ndarray],
-    eps: float = 0.01,
 ) -> float:
     """sum_{n<=x} of the dyadic-box convolution R(n) = sum a_k a_l over
-    k*l = floor(n^c), with K = x^(c-1+6 eps) and L = x^(1-6 eps)/5.
+    k*l = floor(n^c), with K = x^(c-1+6 eps) and L = x^(1-6 eps)/5 at
+    eps = CONVOLUTION_EPS.
 
     For each k with a nonzero weight, the products k*l are looked up in the
     generated values floor(n^c), n <= x, so a match is a value with a
     preimage n <= x by construction.  The products stay below
     4KL <= 0.8 x^c, inside the generated range.
     """
-    _check(x, 2, 10**5, "convolution")
+    check_range(x, 2, 10**5, "convolution")
     # exponents past 60 would overflow the float power; x^60 >= 2^60 is refused all the same
-    K = max(int(float(x) ** min(c.as_float - 1.0 + 6.0 * eps, 60.0)), 1)
-    L = max(int(float(x) ** (1.0 - 6.0 * eps) / 5.0), 1)
-    _check(K, 1, CONVOLUTION_K_GUARD, "convolution k-range", name="K")
-    _check(K * L, 1, CONVOLUTION_LOOKUP_GUARD, "convolution lookup", name="K*L")
+    K = max(int(float(x) ** min(c.as_float - 1.0 + 6.0 * CONVOLUTION_EPS, 60.0)), 1)
+    L = max(int(float(x) ** (1.0 - 6.0 * CONVOLUTION_EPS) / 5.0), 1)
+    check_range(K, 1, CONVOLUTION_K_GUARD, "convolution k-range", name="K")
+    check_range(K * L, 1, CONVOLUTION_LOOKUP_GUARD, "convolution lookup", name="K*L")
     ks = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
     ls = np.arange(L + 1, 2 * L + 1, dtype=np.int64)
     ak = np.asarray(predicate(ks), dtype=np.float64)

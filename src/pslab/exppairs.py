@@ -12,8 +12,6 @@ from math import gcd
 
 from .errors import ValidationError
 
-Rational = Fraction
-
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ValidationError, check_range
 from .pscore import CHUNK
 
 TERM_GUARD = 10**8
@@ -131,8 +131,7 @@ def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
     use pairwise accumulation and are combined with math.fsum, so the value
     is deterministic for any thread count.
     """
-    if instance.n_terms() > TERM_GUARD:
-        raise GuardError(f"{instance.n_terms()} terms exceed the guard {TERM_GUARD}")
+    check_range(instance.n_terms(), 1, TERM_GUARD, "term", name="terms")
 
     axes = [instance.variable_values(i).astype(np.float64) for i in range(len(instance.ranges))]
     exps = dict(instance.phase.exponents)
@@ -186,9 +185,9 @@ def _check_bounded(w: np.ndarray) -> None:
         raise ValidationError("weight callbacks must stay bounded by 1")
 
 
-def ratio_report(instance: SumInstance, bound: float, meta: str = "", threads: int = 1) -> BoundReport:
+def ratio_report(instance: SumInstance, bound: float, meta: str = "") -> BoundReport:
     """Evaluate |S| for the instance and package it against a bound."""
-    return BoundReport(abs(eval_sum(instance, threads=threads)), bound, meta)
+    return BoundReport(abs(eval_sum(instance)), bound, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,31 @@ decided by the exact bracket k^q <= n^p < (k+1)^q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import fsum, gcd, log, log2
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ValidationError, check_range
 
 CHUNK = 1 << 16  # fixed reduction and generation chunk, keeps float sums deterministic
 DECOMPOSITION_K_GUARD = 10**8
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational "p/q" with q > 0, exactly; decimal input is rejected to
+    avoid silent rounding."""
+    num, slash, den = text.strip().partition("/")
+    if not slash:
+        raise ValidationError(f"{text!r} must be a rational like 3/2 (decimals are not accepted)")
+    try:
+        p, q = int(num), int(den)
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse rational {text!r}") from exc
+    if q < 1:
+        raise ValidationError(f"rational {text!r} needs a positive denominator")
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)
@@ -42,19 +58,9 @@ class ExponentC:
 
     @classmethod
     def parse(cls, text: str) -> "ExponentC":
-        """Parse "p/q" notation; decimal input is rejected to avoid silent rounding."""
-        s = text.strip()
-        if "/" not in s:
-            raise ValidationError(
-                f"exponent {text!r} must be a rational like 3/2 (decimals are not accepted)"
-            )
-        num, _, den = s.partition("/")
-        try:
-            p, q = int(num), int(den)
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse exponent {text!r}") from exc
-        g = gcd(p, q)
-        return cls(p // g, q // g)
+        """Parse "p/q" notation (see parse_rational), reduced to lowest terms."""
+        c = parse_rational(text)
+        return cls(c.numerator, c.denominator)
 
     @property
     def as_float(self) -> float:
@@ -188,10 +194,7 @@ def count_decomposition(
     """
     from .sawtooth import psi
 
-    if K < 1:
-        raise ValidationError(f"count_decomposition requires K >= 1, got {K}")
-    if K > DECOMPOSITION_K_GUARD:
-        raise GuardError(f"K={K} exceeds the desk-scale guard {DECOMPOSITION_K_GUARD}")
+    check_range(K, 1, DECOMPOSITION_K_GUARD, "decomposition", name="K")
     gamma = c.gamma
 
     main: list[float] = []

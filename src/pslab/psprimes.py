@@ -14,7 +14,7 @@ from math import fsum, gcd, log
 import numpy as np
 
 from .arith import euler_phi, primes_up_to
-from .errors import GuardError, RouteDisagreementError, ValidationError
+from .errors import RouteDisagreementError, ValidationError, check_range
 from .pscore import CHUNK, ExponentC, in_sorted, is_ps_value, ps_value_chunks
 
 X_GUARD = 10**9
@@ -34,23 +34,27 @@ class ApQuery:
     def __post_init__(self) -> None:
         if self.x < 2:
             raise ValidationError(f"x={self.x} must be >= 2")
-        if self.d < 1:
-            raise ValidationError(f"modulus d={self.d} must be >= 1")
         if gcd(self.a, self.d) != 1:
             raise ValidationError(f"a={self.a} and d={self.d} must be coprime")
-        if self.x > X_GUARD:
-            raise GuardError(f"x={self.x} exceeds the guard {X_GUARD}")
+        _check_progression(self.x, self.d)
+
+
+def _check_progression(x: int, d: int) -> None:
+    """The modulus and x-guard check of ApQuery and of pi_ap/theta_ap, which
+    accept any x >= 0 and an a not coprime to d."""
+    if d < 1:
+        raise ValidationError(f"modulus d={d} must be >= 1")
+    check_range(x, 0, X_GUARD, "progression")
+
+
+def _in_progression(ps: np.ndarray, d: int, a: int) -> np.ndarray:
+    """The ps = a (mod d)."""
+    return ps if d == 1 else ps[ps % d == a % d]
 
 
 def _progression_primes(x: int, d: int, a: int) -> np.ndarray:
-    if d < 1:
-        raise ValidationError(f"modulus d={d} must be >= 1")
-    if x > X_GUARD:
-        raise GuardError(f"x={x} exceeds the guard {X_GUARD}")
-    primes = primes_up_to(x).primes
-    if d == 1:
-        return primes
-    return primes[primes % d == a % d]
+    _check_progression(x, d)
+    return _in_progression(primes_up_to(x).primes, d, a)
 
 
 def pi_ap(x: int, d: int, a: int) -> int:
@@ -96,19 +100,12 @@ def ps_primes_up_to(x: int, c: ExponentC) -> np.ndarray:
 
 def pi_c_ap(q: ApQuery) -> int:
     """Count of sequence primes p <= x with p = a (mod d)."""
-    ps = ps_primes_up_to(q.x, q.c)
-    if q.d == 1:
-        return int(ps.size)
-    return int(np.sum(ps % q.d == q.a % q.d))
+    return int(_in_progression(ps_primes_up_to(q.x, q.c), q.d, q.a).size)
 
 
 def vartheta_c_ap(q: ApQuery) -> float:
     """Log-weighted count of sequence primes in the progression."""
-    ps = ps_primes_up_to(q.x, q.c)
-    if q.d > 1:
-        ps = ps[ps % q.d == q.a % q.d]
-    if ps.size == 0:
-        return 0.0
+    ps = _in_progression(ps_primes_up_to(q.x, q.c), q.d, q.a)
     return _chunked_sum(np.log(ps.astype(np.float64)))
 
 
@@ -127,9 +124,6 @@ def ap_main_term(q: ApQuery) -> float:
     """
     gamma = q.c.gamma
     ps = _progression_primes(q.x, q.d, q.a).astype(np.float64)
-    if ps.size == 0:
-        return 0.0
-
     xg = float(q.x) ** (gamma - 1.0)
     integral = _chunked_sum((xg - ps ** (gamma - 1.0)) / (gamma - 1.0))
     route_a = gamma * xg * ps.size + gamma * (1.0 - gamma) * integral

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ValidationError, check_range
 
 VAALER_H_GUARD = 10**5
 # len(t) * H (point, frequency) pairs; the kernels' memory is O(len t), so
@@ -33,13 +33,6 @@ def psi(t):
     return t - np.floor(t) - 0.5
 
 
-def _check_cells(points: int, H: int) -> None:
-    if points * H > SAWTOOTH_CELLS_GUARD:
-        raise GuardError(
-            f"{points} points x H={H} exceeds the guard of {SAWTOOTH_CELLS_GUARD:.0e} point-frequency pairs"
-        )
-
-
 def _powers(t: np.ndarray, H: int) -> Iterator[np.ndarray]:
     """Yield z^h for h = 1..H, where z = e(t) = exp(2 pi i t) per point.
 
@@ -48,7 +41,7 @@ def _powers(t: np.ndarray, H: int) -> Iterator[np.ndarray]:
     addition), and the error of z^h grows about linearly in h.  One buffer
     is updated in place and yielded each time: read it before the next step.
     """
-    _check_cells(t.size, H)
+    check_range(t.size * H, 0, SAWTOOTH_CELLS_GUARD, "point-frequency", name="points x H")
     z = np.exp(2j * np.pi * (t - np.floor(t)))
     zh = np.ones_like(z)
     for _ in range(H):

@@ -106,3 +106,14 @@ def test_is_ps_carmichael_factors_once(monkeypatch):
     assert is_ps_carmichael(561, C_NEAR_ONE) is not None
     assert is_ps_carmichael(563, C_NEAR_ONE) is None
     assert calls == [561, 563]
+
+
+def test_search_limit_range():
+    from pslab import GuardError
+
+    with pytest.raises(ValidationError):
+        carmichael_numbers_up_to(-1)
+    assert carmichael_numbers_up_to(0) == carmichael_numbers_up_to(560) == []
+    assert carmichael_numbers_up_to(561) == [561]
+    with pytest.raises(GuardError):
+        carmichael_numbers_up_to(carmichael.SEARCH_GUARD + 1)

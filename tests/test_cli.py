@@ -243,3 +243,29 @@ def test_threads_below_one_rejected(capsys, monkeypatch, source, threads):
 def test_sum_eval_rejects_malformed_instance(capsys, instance):
     code, out, err = run(capsys, "sum", "eval", "--instance", instance)
     assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("series", [",", " , ,"])
+@pytest.mark.parametrize("fmt", ["csv", "tsv-plot"])
+def test_experiment_series_refuses_a_list_without_entries(capsys, series, fmt):
+    code, out, err = run(
+        capsys, "experiment", "squarefree", "--x", "100", "--c", "3/2", "--series", series, "--format", fmt
+    )
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("grid", ["0", "-5"])
+def test_vaaler_check_refuses_a_grid_below_one(capsys, grid):
+    code, out, err = run(capsys, "sawtooth", "vaaler-check", "--H", "10", "--grid", grid)
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("text", ["-1/-2", "1/-2", "0/-1", "1/0", "0.5"])
+def test_pairs_rationals_need_a_positive_denominator(capsys, text):
+    code, out, err = run(capsys, "pairs", "carmichael-threshold", f"--E={text}")
+    assert code == 2 and out == "" and _one_error_line(err) and "rational" in err
+
+
+def test_carmichael_search_refuses_a_negative_limit(capsys):
+    code, out, err = run(capsys, "carmichael", "search", "--limit=-1", "--c", "1001/1000")
+    assert code == 2 and out == "" and _one_error_line(err)

@@ -299,3 +299,22 @@ def test_decomposition_sums_match_fsum_recount():
     want_corr = math.fsum(psi(-((ks + 1.0) ** g)) - psi(-(ks**g)))
     assert abs(main - want_main) <= 1e-12 * abs(want_main)
     assert abs(corr - want_corr) <= 1e-12 * abs(want_corr)
+
+
+def test_parse_rational():
+    from fractions import Fraction
+
+    assert pscore.parse_rational("3/2") == Fraction(3, 2)
+    assert pscore.parse_rational(" 6 / 4 ") == Fraction(3, 2)
+    assert pscore.parse_rational("-7/3") == Fraction(-7, 3)
+    assert pscore.parse_rational("0/5") == 0
+    for text in ("1.5", "3", "1/0", "-1/-2", "3/-2", "a/b", "/2", "3/2/1", ""):
+        with pytest.raises(ValidationError, match="rational"):
+            pscore.parse_rational(text)
+
+
+def test_exponent_parse_refuses_a_negative_denominator():
+    for text in ("-3/-2", "3/-2"):
+        with pytest.raises(ValidationError):
+            ExponentC.parse(text)
+    assert ExponentC.parse("6/4") == C32

@@ -207,3 +207,13 @@ def test_log_sums_match_fsum_recount(d, a):
     seq = ps_primes_up_to(x, c)
     seq = seq[seq % d == a % d].astype(np.float64)
     assert _close(vartheta_c_ap(ApQuery(x, d, a, c)), math.fsum(np.log(seq)))
+
+
+def test_pi_ap_and_theta_ap_share_the_query_range_check():
+    for x in (0, 1):
+        assert pi_ap(x, 3, 1) == 0 and theta_ap(x, 3, 1) == 0.0
+    with pytest.raises(ValidationError):
+        pi_ap(-1, 3, 1)
+    for f in (pi_ap, theta_ap):
+        with pytest.raises(GuardError):
+            f(psprimes.X_GUARD + 1, 3, 1)

@@ -71,3 +71,40 @@ def test_primes_up_to_has_one_sieve_route():
     from pslab import arith
 
     assert inspect.getsource(arith.primes_up_to).count("_simple_sieve(") == 1
+
+
+def _functions_raising(exc):
+    """(module, function) for each `raise exc(` site, by the enclosing def."""
+    sites = []
+    for name, text in SOURCES.items():
+        func = None
+        for line in text.splitlines():
+            m = re.match(r"\s*def (\w+)\(", line)
+            if m:
+                func = m.group(1)
+            if f"raise {exc}(" in line:
+                sites.append((name, func))
+    return sorted(sites)
+
+
+def test_guard_errors_come_from_the_range_check():
+    # besides check_range: the factorization value guard, the residue
+    # harness's admissible-range bound and the primality proof bound
+    assert _functions_raising("GuardError") == [
+        ("arith.py", "is_prime"),
+        ("errors.py", "check_range"),
+        ("experiments.py", "_check_values"),
+        ("experiments.py", "residue_equidistribution"),
+    ]
+
+
+def test_one_rational_parser():
+    assert _count(r'partition\("/"\)') == 1
+    assert _count(r"_exceeds_power_exact|_check_cells|RunConfig|_parse_fraction") == 0
+
+
+def test_no_knobs_with_one_value_in_use():
+    from pslab import expsum
+
+    assert "eps" not in inspect.signature(experiments.convolution_count).parameters
+    assert "threads" not in inspect.signature(expsum.ratio_report).parameters
