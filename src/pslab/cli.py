@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import carmichael as carm
 from . import experiments as xp
 from . import exppairs, expsum, psprimes, sawtooth
-from .errors import GuardError, RouteDisagreementError, ValidationError
+from .errors import GuardError, RouteDisagreementError, ValidationError, check_range
 from .pscore import ExponentC, count_decomposition, floor_pow, is_ps_value, parse_rational, ps_values_in
 
 
@@ -215,9 +215,12 @@ def _cmd_sum(args) -> None:
 def _cmd_sawtooth(args) -> None:
     import numpy as np
 
+    # points x H is checked here, before the points are built; the kernels
+    # check it again only once they have them
     if args.saw_cmd == "vaaler-check":
         if args.grid < 1:
             raise ValidationError(f"--grid {args.grid} must be >= 1")
+        check_range(args.grid * args.H, 0, sawtooth.SAWTOOTH_CELLS_GUARD, "point-frequency", name="points x H")
         kernel = sawtooth.vaaler_kernel(args.H)
         t = np.linspace(0.0, 1.0, args.grid, endpoint=False)
         err = np.abs(sawtooth.psi(t) - kernel.approx(t))
@@ -225,6 +228,7 @@ def _cmd_sawtooth(args) -> None:
         worst = float(np.max(err - maj))
         print(f"H={args.H} grid={args.grid} max(err-majorant)={worst!r} ok={worst <= 1e-9}")
     elif args.saw_cmd == "discrepancy":
+        check_range(args.K * args.H, 0, sawtooth.SAWTOOTH_CELLS_GUARD, "point-frequency", name="points x H")
         t = (np.arange(1, args.K + 1) * np.sqrt(2.0)) % 1.0
         lhs = sawtooth.discrepancy_lhs(t, args.beta)
         rhs = sawtooth.erdos_turan_rhs(t, args.H)

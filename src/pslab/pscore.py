@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, log, log2
+from math import fsum, gcd, inf, log, log2, nextafter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -224,11 +224,13 @@ def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
     The result is int64 when n_max < 2^bits with bits * p <= 62 q, so every
     value and its float64 candidate stay below 2^63; above that it is an
     object array of Python integers, one floor_pow per element.  The float64
-    candidate v errs only near an integer: rounding c to float64 moves n^c
-    by at most v ln v 2^-53, rounding n (above 2^53) by c v 2^-53, and pow
-    adds at most 2 ulp (4 v 2^-53).  Every element whose fractional part lies
-    within 10x that budget at v_max of an integer is settled by floor_pow;
-    once the band reaches 1/2, that is every element.
+    candidate v errs only near an integer, by the sum of three terms:
+    rounding c to float64 by delta = float(c) - p/q (exact, rounded up; 0 for
+    dyadic c) moves n^c by v |delta| ln v / c; rounding n moves it by
+    c v 2^-53, counted only when n_max >= 2^53; pow adds at most 2 ulp
+    (4 v 2^-53).  Every element whose fractional part lies within 10x that
+    budget at v_max of an integer is settled by floor_pow; once the band
+    reaches 1/2, that is every element.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
@@ -239,9 +241,15 @@ def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
     if n_max.bit_length() * c.p > _INT64_SAFE_BITS * c.q:
         return np.array([floor_pow(int(n), c) for n in ns], dtype=object)
 
-    v = np.power(ns.astype(np.float64), c.as_float)
-    v_max = float(n_max) ** c.as_float
-    tol = 10.0 * v_max * (log(v_max) + c.as_float + 4.0) * 2.0**-53
+    cf = c.as_float
+    delta = abs(Fraction(cf) - Fraction(c.p, c.q))
+    dc = float(delta)
+    if dc < delta:
+        dc = nextafter(dc, inf)
+    dn = cf * 2.0**-53 if n_max >= 2**53 else 0.0
+    v = np.power(ns.astype(np.float64), cf)
+    v_max = float(n_max) ** cf
+    tol = 10.0 * v_max * (dc * log(v_max) / cf + dn + 4.0 * 2.0**-53)
     k = np.floor(v)
     frac = np.subtract(v, k, out=v)  # in place: v is not read again
     suspect = (frac < tol) | (frac > 1.0 - tol)

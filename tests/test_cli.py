@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +153,38 @@ def test_sawtooth_refuses_oversized_kernel_matrix_at_once(capsys):
     code, _, err = run(capsys, "sawtooth", "vaaler-check", "--H", "100000")
     assert code == 3 and "guard" in err.lower()
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_vaaler_check_refuses_points_x_h_before_building_the_grid():
+    # 3*10^7 points x H = 2 is over the guard; building the grid first
+    # would take several hundred MB before the refusal
+    child = (
+        "import resource, time\n"
+        "from pslab.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "code = main(['sawtooth', 'vaaler-check', '--H', '2', '--grid', '30000000'])\n"
+        "took = time.perf_counter() - t0\n"
+        "print(code, took, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, took, rss_kb = proc.stdout.split()
+    assert int(code) == 3 and "guard" in proc.stderr.lower()
+    assert float(took) < 1.0 and int(rss_kb) < 150 * 1024
+
+
+def test_discrepancy_refuses_points_x_h_before_building_the_points(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "sawtooth", "discrepancy", "--K", "30000000", "--H", "2", "--beta", "0.3")
+    assert code == 3 and out == "" and "guard" in err.lower()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_experiment_chebyshev_reaches_c_near_two(capsys):

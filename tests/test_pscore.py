@@ -253,6 +253,36 @@ def test_floor_pow_bulk_repair_band_keeps_its_margin(monkeypatch):
     assert worst > 0 and must and must <= set(settled)
 
 
+def test_floor_pow_bulk_repair_band_keeps_its_margin_when_pow_is_the_budget(monkeypatch):
+    # at c = 3/2 rounding c to float64 is exact and n < 2^53, so the band is
+    # sized by pow's error alone: it must still cover 10x the largest error
+    # seen, and must stay far narrower than the worst-case band (about 40%)
+    mpmath = pytest.importorskip("mpmath")
+    ns = np.arange(3 * 10**8, 3 * 10**8 + 4000, dtype=np.int64)
+    settled = []
+    exact_floor_pow = pscore.floor_pow
+
+    def recorded(n, c):
+        settled.append(n)
+        return exact_floor_pow(n, c)
+
+    monkeypatch.setattr(pscore, "floor_pow", recorded)
+    floor_pow_bulk(ns, C32)
+    v = np.power(ns.astype(np.float64), C32.as_float)
+    with mpmath.workprec(160):
+        worst = max(abs(mpmath.mpf(float(vi)) - mpmath.mpf(int(n)) ** 1.5) for n, vi in zip(ns, v))
+    dist = np.minimum(v - np.floor(v), np.ceil(v) - v)
+    must = set(ns[dist < 10.0 * float(worst)].tolist())
+    assert worst > 0 and must and must <= set(settled)
+    assert len(settled) < 0.06 * ns.size
+
+
+@pytest.mark.parametrize("c", [ExponentC(1025, 1024), ExponentC(1001, 1000)], ids=str)
+def test_floor_pow_bulk_straddling_n_2_53(c):
+    # n itself crosses 2^53, where converting n to float64 starts to round
+    _check_bulk(np.arange(2**53 - 32, 2**53 + 32), c)
+
+
 @pytest.mark.parametrize(
     "n, c",
     [(2**45, ExponentC(5, 3)), (2**61, ExponentC(1001, 1000)), (10**6, ExponentC(10001, 10000))],
