@@ -22,7 +22,7 @@ import numpy as np
 from .arith import SQUAREFREE_BULK_MAX, factor_stream, is_squarefree_bulk
 from .arith import factorize, primes_up_to  # unused here; perfbench/tracing.py wraps these names
 from .errors import GuardError, ValidationError, check_range
-from .pscore import ExponentC, floor_pow_bulk, in_sorted
+from .pscore import ExponentC, exceeds, floor_pow_bulk, in_sorted
 
 SIX_OVER_PI_SQUARED = 6.0 / np.pi**2
 # P > n^e is decided in float64 only where P is off n^e by more than this
@@ -30,7 +30,6 @@ SIX_OVER_PI_SQUARED = 6.0 / np.pi**2
 # rounding e to float64 moves it by under 1e-13 relative, and pow adds a few
 # ulp; converting an int64 P errs by at most 2^-53 relative.
 POWER_BAND = 2.0**-30
-EXACT_DEN_MAX = 64  # exponents with a denominator up to this compare as P^den vs n^num
 # convolution_count's work: K Python iterations (~13 us each) and K*L sorted
 # lookups (~37 ns each) on 2 cores; each bound alone is about 0.7 s
 CONVOLUTION_K_GUARD = 5 * 10**4
@@ -90,7 +89,7 @@ def _values_upto(x: int, c: ExponentC) -> np.ndarray:
 def _check_values(x: int, c: ExponentC) -> None:
     """Refuse, before generating anything, values beyond factor_stream:
     floor(x^c) > M exactly when M + 1 > x^c fails."""
-    if not _exceeds(SQUAREFREE_BULK_MAX + 1, x, Fraction(c.p, c.q)):
+    if not exceeds(SQUAREFREE_BULK_MAX + 1, x, Fraction(c.p, c.q)):
         raise GuardError(f"floor({x}^{c}) exceeds the factorization guard {SQUAREFREE_BULK_MAX:.0e}")
 
 
@@ -132,53 +131,15 @@ def _exceeds_power(P: np.ndarray, ns: np.ndarray, e: Fraction) -> np.ndarray:
     exactly.
 
     The float64 comparison decides every element whose P lies outside a
-    relative POWER_BAND around n^e; the scalar _exceeds decides the rest.
+    relative POWER_BAND around n^e; the scalar pscore.exceeds decides the rest.
     """
     f = ns.astype(np.float64) ** float(e)
     Pf = P.astype(np.float64)
     out = Pf > f
     band = (np.abs(Pf - f) <= POWER_BAND * f) & np.isfinite(f)
     for i in np.flatnonzero(band):
-        out[i] = _exceeds(int(P[i]), int(ns[i]), e)
+        out[i] = exceeds(int(P[i]), int(ns[i]), e)
     return out
-
-
-def _exceeds(P: int, n: int, e: Fraction) -> bool:
-    """P > n^e for Python ints P >= 1 and 1 <= n < 2^63, decided exactly.
-
-    n = 1, e <= 0, and every P whose bit length alone puts it on one side
-    of 2^(e (bits(n) - 1)) <= n^e < 2^(e bits(n)) are settled at once, so a
-    P of any size meets no float; the rest are decided in integers as
-    P^den > n^num when e has a denominator up to EXACT_DEN_MAX, and
-    otherwise by interval enclosures of log P and e log n at rising
-    precision.
-    """
-    if n == 1 or e == 0:
-        return P > 1
-    if e < 0:
-        return True  # n^e < 1 <= P
-    bits, n_bits = P.bit_length(), n.bit_length()
-    if bits - 1 >= e * n_bits:  # P >= 2^(bits-1) >= 2^(e n_bits) > n^e
-        return True
-    if bits <= e * (n_bits - 1):  # P < 2^bits <= 2^(e (n_bits-1)) <= n^e
-        return False
-    if e.denominator <= EXACT_DEN_MAX:
-        return P**e.denominator > n**e.numerator
-    from mpmath.ctx_iv import MPIntervalContext
-
-    iv = MPIntervalContext()  # a private context: its precision is ours to raise
-    iv.prec = 64
-    # P = n^e means P^den = n^num, so n = m^den for an integer m (e = num/den
-    # in lowest terms); with n >= 2 and den > EXACT_DEN_MAX that is n >= 2^65,
-    # beyond int64: the two sides differ, so the loop ends
-    while True:
-        lhs = iv.log(iv.mpf(P))
-        rhs = iv.mpf(e.numerator) / e.denominator * iv.log(iv.mpf(n))
-        if lhs.a > rhs.b:
-            return True
-        if lhs.b < rhs.a:
-            return False
-        iv.prec *= 2
 
 
 def _largest_primes(x: int, c: ExponentC) -> tuple[np.ndarray, np.ndarray]:
@@ -240,9 +201,9 @@ def square_divisor_sum(
         raise ValidationError("D must be >= 1")
     check_range(x, 1, 10**6, "square-divisor")
     e = Fraction(c.p, c.q)
-    if _exceeds(D, x, e / 2):
+    if exceeds(D, x, e / 2):
         raise ValidationError(f"D={D} exceeds x^(c/2)")
-    if _exceeds(D, x, 2 - e):
+    if exceeds(D, x, 2 - e):
         warnings.warn("D beyond x^(2-c): outside the proven main-term range")
     ds = np.arange(D + 1, 2 * D + 1, dtype=np.int64)
     zd = np.asarray(z(ds), dtype=np.float64)
@@ -265,7 +226,7 @@ def residue_equidistribution(N: int, c: ExponentC, q: int, a: int) -> Experiment
         raise ValidationError("q must be >= 1")
     check_range(N, 1, 10**6, "residue", name="N")
     e = Fraction(c.p, c.q)
-    if _exceeds(q, N, (3 - e) / 6):
+    if exceeds(q, N, (3 - e) / 6):
         raise GuardError(f"q={q} exceeds the admissible range N^((3-c)/6)")
     if not (Fraction(3, 2) < e < 2):
         warnings.warn(f"c={c} outside (3/2, 2); the equidistribution claim is unproven there")

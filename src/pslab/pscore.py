@@ -1,15 +1,15 @@
 """Exact arithmetic for the Piatetski-Shapiro map n -> floor(n^c).
 
-The exponent c is restricted to non-integer rationals p/q > 1, so every
-floor value is an exact integer q-th root and no result ever depends on
-floating-point rounding.  Membership of an integer k in the value set is
-decided by the exact bracket k^q <= n^p < (k+1)^q.
+The exponent c is restricted to non-integer rationals p/q > 1.  Every
+placement of an integer against a power n^(a/b) (a floor value, membership
+in the value set, P > n^e) goes through one exact floor of n^(a/b), so no
+result ever depends on floating-point rounding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, inf, log, log2, nextafter
+from math import fsum, gcd, inf, isqrt, log, log2, nextafter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -18,6 +18,8 @@ from .errors import ValidationError, check_range
 
 CHUNK = 1 << 16  # fixed reduction and generation chunk, keeps float sums deterministic
 DECOMPOSITION_K_GUARD = 10**8
+EXACT_BITS = 1 << 15  # n^a up to this many bits is rooted in integers (see _floor_pow)
+INTERVAL_ORDER_MIN = 16  # an enclosure of n^(a/b) needs about bits(n^a)/b bits: it pays for large b
 
 
 def parse_rational(text: str) -> Fraction:
@@ -105,9 +107,7 @@ def integer_root(m: int, q: int) -> int:
     if m < 2 or q == 1:
         return m
     if q == 2:
-        import math
-
-        return math.isqrt(m)
+        return isqrt(m)
     if m.bit_length() <= q:  # m < 2^q means the root is 1
         return 1
     # seed above the true root, so Newton decreases monotonically to it: t is
@@ -130,45 +130,83 @@ def integer_root(m: int, q: int) -> int:
     return r
 
 
+def _floor_pow(n: int, a: int, b: int) -> int:
+    """floor(n^(a/b)) for n >= 1 and coprime a, b >= 1, exactly: the integer
+    b-th root of n^a while b < INTERVAL_ORDER_MIN or n^a has at most
+    EXACT_BITS bits, else interval enclosures at rising precision.
+    A perfect b-th power n = m^b gives m^a; any other n gives an irrational
+    n^(a/b), so some enclosure straddles no integer and the loop ends."""
+    if b < INTERVAL_ORDER_MIN or a * n.bit_length() <= EXACT_BITS:
+        return integer_root(n**a, b)
+    m = integer_root(n, b)
+    if m**b == n:
+        return m**a
+    from mpmath.libmp import from_int, from_rational, mpf_exp, mpf_log, mpf_mul, round_ceiling, round_floor, to_int
+
+    def bound(rnd):  # exp((a/b) log n), each step rounded toward rnd; every factor is positive
+        e = from_rational(a, b, prec, rnd)
+        return to_int(mpf_exp(mpf_mul(e, mpf_log(from_int(n), prec, rnd), prec, rnd), prec, rnd))
+
+    prec = a * n.bit_length() // b + 64
+    while (lo := bound(round_floor)) != bound(round_ceiling):  # to_int truncates: the floor
+        prec *= 2
+    return lo
+
+
 def floor_pow(n: int, c: ExponentC) -> int:
-    """floor(n^(p/q)) computed exactly as the integer q-th root of n^p."""
+    """floor(n^(p/q)), exactly."""
     if n < 1:
         raise ValidationError(f"floor_pow requires n >= 1, got {n}")
-    return integer_root(n**c.p, c.q)
+    return _floor_pow(n, c.p, c.q)
+
+
+def exceeds(P: int, n: int, e: Fraction) -> bool:
+    """P > n^e for Python ints P >= 1 and n >= 1, decided exactly: n = 1,
+    e <= 0 and a P whose bit length alone places it against
+    2^(e (bits(n) - 1)) <= n^e < 2^(e bits(n)) are settled at once, so a P
+    of any size meets no float; any other P exceeds n^e when it exceeds
+    floor(n^e)."""
+    if n == 1 or e == 0:
+        return P > 1
+    if e < 0:
+        return True  # n^e < 1 <= P
+    bits, n_bits = P.bit_length(), n.bit_length()
+    if bits - 1 >= e * n_bits:  # P >= 2^(bits-1) >= 2^(e n_bits) > n^e
+        return True
+    if bits <= e * (n_bits - 1):  # P < 2^bits <= 2^(e (n_bits-1)) <= n^e
+        return False
+    return P > _floor_pow(n, e.numerator, e.denominator)
 
 
 def is_ps_value(k: int, c: ExponentC) -> PsWitness:
     """Decide whether k = floor(n^c) for some n, returning the witness.
 
-    The candidate preimage is the smallest n with n^p >= k^q; k is a value
-    exactly when that candidate also satisfies n^p < (k+1)^q.
+    With n0 = floor(k^(1/c)), n0^c <= k < (n0+1)^c, and consecutive powers
+    beyond n0 + 1 lie more than 1 apart, so the preimage is n0 when
+    n0^c = k, else n0 + 1 when (n0+1)^c < k + 1, else there is none.
     """
     if k < 1:
         raise ValidationError(f"is_ps_value requires k >= 1, got {k}")
-    kq = k**c.q
-    r = integer_root(kq, c.p)
-    n = r if r**c.p == kq else r + 1
-    if n**c.p < (k + 1) ** c.q:
-        return PsWitness(k, n)
+    e = Fraction(c.p, c.q)
+    n0 = _floor_pow(k, c.q, c.p)
+    if not exceeds(k, n0, e):
+        return PsWitness(k, n0)
+    if exceeds(k + 1, n0 + 1, e):
+        return PsWitness(k, n0 + 1)
     return PsWitness(k, None)
 
 
 def ps_values_in(lo: int, hi: int, c: ExponentC) -> Iterator[PsWitness]:
-    """Stream the values of the sequence inside [lo, hi], in increasing order.
-
-    Iterates the preimage n directly: floor(n^c) is strictly increasing for
-    c > 1, so each n contributes at most one value and order is automatic.
-    Unlike ps_value_chunks it serves preimages of any size.
+    """Stream the values of the sequence inside [lo, hi], in increasing order,
+    from the preimage floor(lo^(1/c)), whose value is at most lo; floor(n^c)
+    strictly increases with n.  Unlike ps_value_chunks it serves any size.
     """
     if lo < 1 or hi < lo:
         raise ValidationError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    loq = lo**c.q
-    r = integer_root(loq, c.p)
-    n = r if r**c.p == loq else r + 1
-    n = max(n, 1)
-    hi_bound = (hi + 1) ** c.q
-    while n**c.p < hi_bound:
-        yield PsWitness(integer_root(n**c.p, c.q), n)
+    n = _floor_pow(lo, c.q, c.p)
+    while (k := _floor_pow(n, c.p, c.q)) <= hi:
+        if k >= lo:
+            yield PsWitness(k, n)
         n += 1
 
 
@@ -267,9 +305,9 @@ def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def ps_value_chunks(X: int, c: ExponentC) -> Iterator[np.ndarray]:
     """The values floor(n^c) <= X in increasing order, one array per 2^16
-    consecutive preimages n = 1, 2, ...; the last preimage is the largest n
-    with n^p < (X+1)^q, found exactly, so no value is missed at the boundary.
-    """
-    n_max = integer_root((X + 1) ** c.q - 1, c.p)
+    consecutive preimages n = 1, 2, ...; the last preimage is floor(X^(1/c)),
+    or one more when its successor's value is X, so none is missed."""
+    n_max = _floor_pow(X, c.q, c.p)
+    n_max += exceeds(X + 1, n_max + 1, Fraction(c.p, c.q))
     for lo in range(1, n_max + 1, CHUNK):
         yield floor_pow_bulk(np.arange(lo, min(lo + CHUNK, n_max + 1), dtype=np.int64), c)

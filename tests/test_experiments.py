@@ -235,6 +235,16 @@ def test_residue_counts_big_values_exactly():
     assert [residue_equidistribution(N, c, 2, a).observed for a in (0, 1)] == want
 
 
+def test_residue_fast_at_large_q():
+    # the int64 values' repair band sends its suspects to floor_pow, where
+    # n^p has millions of bits; c > 2 lies outside the proven range
+    t0 = time.perf_counter()
+    with pytest.warns(UserWarning):
+        r = residue_equidistribution(3 * 10**4, ExponentC(300001, 150000), 1, 0)
+    assert time.perf_counter() - t0 < 2.0
+    assert r.observed == 30000
+
+
 def test_residue_guard():
     with pytest.raises(GuardError):
         residue_equidistribution(100, C1710, 50, 1)
@@ -367,27 +377,27 @@ def test_convolution_count_by_lookup_at_the_guard():
 
 
 def test_exceeds_decides_operands_beyond_float_range():
-    from pslab.experiments import _exceeds
+    from pslab.pscore import exceeds
 
     big = 10**400
-    assert _exceeds(big, 10**6, Fraction(3, 2))
-    assert _exceeds(big, 10**6, Fraction(-1, 6))
-    assert not _exceeds(big, 10**6, Fraction(100))  # 10^600
-    # ties P = n^e that the bit lengths cannot settle: P^den against n^num
-    assert not _exceeds(big, 10, Fraction(400))
-    assert _exceeds(big + 1, 10, Fraction(400))
-    assert not _exceeds(big, 1000, Fraction(400, 3))
-    assert _exceeds(big + 1, 1000, Fraction(400, 3))
+    assert exceeds(big, 10**6, Fraction(3, 2))
+    assert exceeds(big, 10**6, Fraction(-1, 6))
+    assert not exceeds(big, 10**6, Fraction(100))  # 10^600
+    # ties P = n^e that the bit lengths cannot settle: P against floor(n^e)
+    assert not exceeds(big, 10, Fraction(400))
+    assert exceeds(big + 1, 10, Fraction(400))
+    assert not exceeds(big, 1000, Fraction(400, 3))
+    assert exceeds(big + 1, 1000, Fraction(400, 3))
 
 
 def test_exceeds_at_n_one_zero_and_negative_exponents_and_ties():
-    from pslab.experiments import _exceeds
+    from pslab.pscore import exceeds
 
-    assert not _exceeds(1, 1, Fraction(-1, 3))  # 1^e = 1
-    assert _exceeds(1, 2, Fraction(-1, 3))  # 2^(-1/3) < 1
-    assert not _exceeds(1, 7, Fraction(0))  # 1 is not > 7^0
-    assert _exceeds(2, 7, Fraction(0))
-    assert [_exceeds(P, 4, Fraction(3, 2)) for P in (7, 8, 9)] == [False, False, True]
+    assert not exceeds(1, 1, Fraction(-1, 3))  # 1^e = 1
+    assert exceeds(1, 2, Fraction(-1, 3))  # 2^(-1/3) < 1
+    assert not exceeds(1, 7, Fraction(0))  # 1 is not > 7^0
+    assert exceeds(2, 7, Fraction(0))
+    assert [exceeds(P, 4, Fraction(3, 2)) for P in (7, 8, 9)] == [False, False, True]
 
 
 def _exceeds_oracle(P, n, e):
@@ -404,14 +414,13 @@ def _exceeds_oracle(P, n, e):
     scale=st.integers(0, 3),
 )
 def test_exceeds_matches_integer_oracle(n, num, den, offset, scale):
-    # P near n^e, then scaled by 2^scale: ties, near-ties and bit-length splits;
-    # denominators past 64 reach the interval route
-    from pslab.experiments import _exceeds
+    # P near n^e, then scaled by 2^scale: ties, near-ties and bit-length splits
+    from pslab.pscore import exceeds
 
     e = Fraction(num, den)
     root = integer_root(n**num, den) if num >= 0 else 1
     P = max(1, (root << scale) + offset)
-    assert _exceeds(P, n, e) == _exceeds_oracle(P, n, e)
+    assert exceeds(P, n, e) == _exceeds_oracle(P, n, e)
 
 
 def test_residue_refuses_huge_modulus_at_negative_exponent_at_once():

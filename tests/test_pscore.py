@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -285,15 +286,85 @@ def test_floor_pow_bulk_straddling_n_2_53(c):
 
 @pytest.mark.parametrize(
     "n, c",
-    [(2**45, ExponentC(5, 3)), (2**61, ExponentC(1001, 1000)), (10**6, ExponentC(10001, 10000))],
+    [
+        (2**45, ExponentC(5, 3)),
+        (2**61, ExponentC(1001, 1000)),
+        (10**6, ExponentC(10001, 10000)),
+        (10**6, ExponentC(300001, 300000)),
+        (10**6 + 7, ExponentC(150001, 150000)),
+    ],
 )
 def test_floor_pow_fast_for_big_roots_and_orders(n, c):
     # roots above 2^53, and orders q in the thousands, where a float seed
-    # below the root or far above it costs millions of steps
+    # below the root or far above it costs millions of steps; at q ~ 10^5,
+    # n^p has millions of bits, which only the interval route avoids
     t0 = time.perf_counter()
     k = floor_pow(n, c)
     assert time.perf_counter() - t0 < 1.0
     assert k**c.q <= n**c.p < (k + 1) ** c.q
+
+
+def test_is_ps_value_fast_at_large_q():
+    c = ExponentC(300001, 300000)
+    t0 = time.perf_counter()
+    w = is_ps_value(1000046, c)  # floor((10^6)^c)
+    assert time.perf_counter() - t0 < 1.0
+    assert w.preimage == 10**6
+
+
+def _preimage_oracle(k, c):
+    # the n with k^q <= n^p < (k+1)^q, if any: the smallest n with n^p >= k^q
+    r = integer_root(k**c.q, c.p)
+    n = r if r**c.p == k**c.q else r + 1
+    return n if n**c.p < (k + 1) ** c.q else None
+
+
+def _large_q_exponents(q_max=2000):
+    # c = p/q with q in [65, q_max] and p in (q, 2q], in lowest terms
+    return st.integers(65, q_max).flatmap(
+        lambda q: st.integers(q + 1, 2 * q).filter(lambda p: math.gcd(p, q) == 1).map(lambda p: ExponentC(p, q))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=_large_q_exponents(), data=st.data())
+def test_rational_powers_match_integer_oracles_on_both_routes(c, data):
+    # bits(n) up to twice what keeps n^p within EXACT_BITS: both routes
+    bits = data.draw(st.integers(1, 2 * pscore.EXACT_BITS // c.p + 1), label="bits")
+    n = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1), label="n")
+    k = floor_pow(n, c)
+    assert k == integer_root(n**c.p, c.q)
+    assert k**c.q <= n**c.p < (k + 1) ** c.q
+    e = Fraction(c.p, c.q)
+    assert not pscore.exceeds(k, n, e) and pscore.exceeds(k + 1, n, e)
+    for kk in (k - 1, k, k + 1):
+        if kk >= 1:
+            assert is_ps_value(kk, c).preimage == _preimage_oracle(kk, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=_large_q_exponents(), data=st.data())
+def test_rational_powers_at_perfect_powers(c, data):
+    # n = m^q makes n^c = m^p an integer; every such n >= 2^65 exceeds int64,
+    # and n^p has at least 65 * 66 * 2 bits; the floor must be m^p exactly
+    m = data.draw(st.integers(2, 2 ** max(1, 4096 // c.q)), label="m")
+    n, k = m**c.q, m**c.p
+    assert floor_pow(n, c) == k
+    if c.p * n.bit_length() <= 2 * pscore.EXACT_BITS:  # the integer oracle stays cheap
+        assert k == integer_root(n**c.p, c.q)
+    assert is_ps_value(k, c).preimage == n
+    # the neighbouring values floor((n -+ 1)^c) lie c n^(c-1) > 1 away from k
+    assert is_ps_value(k - 1, c).preimage is None
+    assert is_ps_value(k + 1, c).preimage is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(lo=st.integers(1, 10**7), width=st.integers(0, 60))
+def test_ps_values_in_matches_membership_filter_at_1001_1000(lo, width):
+    c = ExponentC(1001, 1000)
+    stream = [(w.value, w.preimage) for w in ps_values_in(lo, lo + width, c)]
+    direct = [(k, w.preimage) for k in range(lo, lo + width + 1) if (w := is_ps_value(k, c)).is_member]
+    assert stream == direct
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 """One path per job: the package keeps a single thread pool, a single chunk
 constant, no smallest-prime-factor table route, one vectorized route in
 floor_pow_bulk, one sorted-array membership lookup, one sieve route, one
-scalar power comparison, and reports built once."""
+exact rational power in pscore, and reports built once."""
 import inspect
 import re
 from pathlib import Path
@@ -62,9 +62,9 @@ def test_reports_are_built_once_with_their_runtime():
     assert len(re.findall(r"ExperimentReport\(", source)) == source.count("_ms_since(t0)") == 5
 
 
-def test_bit_lengths_only_in_the_scalar_comparison():
-    scalar = inspect.getsource(experiments._exceeds)
-    assert SOURCES["experiments.py"].count("bit_length") == scalar.count("bit_length") > 0
+def test_power_comparisons_only_in_pscore():
+    assert re.findall(r"bit_length|mpmath|EXACT_DEN_MAX", SOURCES["experiments.py"]) == []
+    assert _count(r"mpmath") == SOURCES["pscore.py"].count("from mpmath.libmp import") == 1
 
 
 def test_primes_up_to_has_one_sieve_route():
