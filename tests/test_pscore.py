@@ -319,9 +319,9 @@ def _preimage_oracle(k, c):
     return n if n**c.p < (k + 1) ** c.q else None
 
 
-def _large_q_exponents(q_max=2000):
-    # c = p/q with q in [65, q_max] and p in (q, 2q], in lowest terms
-    return st.integers(65, q_max).flatmap(
+def _large_q_exponents():
+    # c = p/q with q in [65, 2000] and p in (q, 2q], in lowest terms
+    return st.integers(65, 2000).flatmap(
         lambda q: st.integers(q + 1, 2 * q).filter(lambda p: math.gcd(p, q) == 1).map(lambda p: ExponentC(p, q))
     )
 
