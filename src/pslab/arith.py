@@ -10,7 +10,7 @@ trial-division pass and the same rho for the cofactors it must split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, gcd, isqrt, log
+from math import fsum, gcd, isqrt, log, prod
 
 import numpy as np
 
@@ -23,7 +23,9 @@ MOBIUS_LIMIT_GUARD = 10**8
 # factor_stream's limit: its cube root, 10^4, ends _SMALL_PRIMES, and it lies
 # below both 2^40 (_mulmod) and 1.122e12 (_MR_BASES)
 SQUAREFREE_BULK_MAX = 10**12
-SEGMENT_SIZE = 1 << 18  # 256 KiB segments keep the sieve cache-resident
+# odd numbers per sieve segment, a 512 KiB bitmap: at 10^7 and 10^8 as fast
+# as 2^20 and faster than 2^18; at 10^9 about 10% behind 2^20 (2 MiB L2/core)
+SEGMENT_SIZE = 1 << 19
 
 # strong-probable-prime bases covering all n < 3.317e24 (first 13 primes)
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -85,24 +87,50 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
+# Odd-index pre-sieve pattern: entry m says whether 2m + 1 is coprime to
+# 3*5*7*11*13; odd numbers repeat modulo 2*15015, so m repeats modulo 15015.
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
+_PRESIEVE_PERIOD = prod(_PRESIEVE_PRIMES)
+_PRESIEVE = np.gcd(2 * np.arange(_PRESIEVE_PERIOD) + 1, _PRESIEVE_PERIOD) == 1
+
+
 def primes_up_to(limit: int) -> SieveCache:
-    """Segmented sieve of Eratosthenes; exact prime list up to ``limit``."""
+    """Segmented sieve of Eratosthenes over the odd numbers; exact prime list
+    up to ``limit``.
+
+    Segment flag i stands for lo + 2i.  Each segment starts as a slice of the
+    3*5*7*11*13 pattern, so only the base primes above 13 stride it; 2 and
+    the five pattern primes are prepended.
+    """
     check_range(limit, 0, SIEVE_LIMIT_GUARD, "sieve", name="limit")
 
     if limit < 2:
         return SieveCache(limit, np.empty(0, dtype=np.int64))
 
-    base = _simple_sieve(isqrt(limit)).tolist()
-    chunks = []
-    for lo in range(2, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                seg[start - lo :: p] = False
-        chunks.append((np.nonzero(seg)[0] + lo).astype(np.int64))
-    return SieveCache(limit, np.concatenate(chunks))
+    base = _simple_sieve(isqrt(limit))
+    base = base[base > _PRESIEVE_PRIMES[-1]]
+    # odd index m stands for 2m + 1; prime p strikes m = (p - 1)/2 (mod p),
+    # from (p^2 - 1)/2 on
+    first = (base - 1) // 2
+    square = (base * base - 1) // 2
+    m_end = (limit - 1) // 2 + 1
+    span = min(SEGMENT_SIZE, m_end)
+    pattern = np.tile(_PRESIEVE, -(-span // _PRESIEVE_PERIOD) + 1)
+    # the guard keeps every prime below 2^31, so segments hold int32 and only
+    # the joined array is int64
+    chunks = [np.array([p for p in (2, *_PRESIEVE_PRIMES) if p <= limit], dtype=np.int32)]
+    for m0 in range(0, m_end, SEGMENT_SIZE):
+        m1 = min(m0 + SEGMENT_SIZE, m_end)
+        r = m0 % _PRESIEVE_PERIOD
+        seg = pattern[r : r + m1 - m0].copy()
+        if m0 == 0:
+            seg[0] = False  # the number 1
+        active = int(np.searchsorted(square, m1))
+        starts = np.maximum((first[:active] - m0) % base[:active], square[:active] - m0)
+        for p, s in zip(base[:active].tolist(), starts.tolist()):
+            seg[s::p] = False
+        chunks.append((np.flatnonzero(seg) * 2 + (2 * m0 + 1)).astype(np.int32))
+    return SieveCache(limit, np.concatenate(chunks, dtype=np.int64))
 
 
 def is_prime(n: int) -> bool:
@@ -374,20 +402,28 @@ def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:
 def mobius_up_to(limit: int) -> np.ndarray:
     """Table of Moebius mu(d) for 0 <= d <= limit (index 0 is set to 0).
 
-    Sign flips come from one pass per prime; a second stride per prime
-    zeroes the multiples of p^2.
+    Each prime p <= sqrt(limit) flips the sign of its multiples and zeroes
+    the multiples of p^2.  A larger prime's multiples are j*p with
+    j < sqrt(limit), so one vectorized flip per j covers them all.
     """
     check_range(limit, 1, MOBIUS_LIMIT_GUARD, "mobius", name="limit")
+    primes = primes_up_to(limit).primes
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    if limit < 2:
-        return mu
-    primes = primes_up_to(limit).primes
-    for p in primes:
-        p = int(p)
-        mu[p::p] = -mu[p::p]
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
+    root = isqrt(limit)
+    split = int(np.searchsorted(primes, root, side="right"))
+    small, large = primes[:split], primes[split:]
+    for p in small.tolist():
+        np.negative(mu[p::p], out=mu[p::p])
+        mu[p * p :: p * p] = 0
+    # j*p for distinct large p are distinct, since p > sqrt(limit) > j; j = 1
+    # indexes by the primes themselves, with no product array
+    mu[large] = -mu[large]
+    for j in range(2, root + 1):
+        idx = j * large[: int(np.searchsorted(large, limit // j, side="right"))]
+        if idx.size == 0:
+            break
+        mu[idx] = -mu[idx]
     return mu
 
 

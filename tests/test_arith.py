@@ -18,6 +18,7 @@ from pslab import (
     mobius_up_to,
     primes_up_to,
 )
+from pslab.arith import SEGMENT_SIZE, _simple_sieve
 
 # classical prime counts pi(10^k)
 PI_TABLE = {10: 4, 100: 25, 10**3: 168, 10**4: 1229, 10**6: 78498}
@@ -53,6 +54,34 @@ def test_sieve_one_route_matches_simple_sieve():
 def test_sieve_guard():
     with pytest.raises(GuardError):
         primes_up_to(10**9 + 1)
+
+
+def test_sieve_matches_simple_sieve_at_segment_and_pattern_edges():
+    # segment k starts at the odd number 1 + 2*SEGMENT_SIZE*k; the
+    # 3*5*7*11*13 pattern repeats every 2*15015 numbers
+    limits = [3 + 2 * SEGMENT_SIZE * k + d for k in (1, 2) for d in range(-2, 3)]
+    limits += [2 * 15015 * k + d for k in (1, 2, 3, 4) for d in (-1, 0, 1, 2)]
+    for limit in limits:
+        assert np.array_equal(primes_up_to(limit).primes, _simple_sieve(limit)), limit
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3 * 10**6))
+def test_sieve_matches_simple_sieve_property(limit):
+    assert np.array_equal(primes_up_to(limit).primes, _simple_sieve(limit))
+
+
+def test_sieve_keeps_the_pattern_primes():
+    for limit in range(40):
+        small = primes_up_to(limit).primes
+        assert small[small <= 13].tolist() == [p for p in (2, 3, 5, 7, 11, 13) if p <= limit]
+
+
+def test_sieve_large_counts_and_dtype():
+    for limit, count in ((10**7, 664579), (10**8, 5761455)):
+        primes = primes_up_to(limit).primes
+        assert primes.dtype == np.int64
+        assert primes.size == count
 
 
 def test_is_prime_small_and_bases():
@@ -228,6 +257,31 @@ def test_mobius_matches_factorize_pointwise():
         fm = factorize(d)
         expected = 0 if not fm.is_squarefree() else (-1) ** len(fm.entries)
         assert mu[d] == expected
+
+
+def test_mobius_mertens_values():
+    # Mertens function M(x) = sum of mu(d) for d <= x
+    for limit, mertens in ((10**6, 212), (10**7, 1037)):
+        assert int(mobius_up_to(limit)[1:].sum(dtype=np.int64)) == mertens
+
+
+def _brute_mobius(d):
+    out = 1
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if d > 1 else out
+
+
+def test_mobius_matches_brute_force_at_every_small_limit():
+    brute = np.array([0] + [_brute_mobius(d) for d in range(1, 3001)], dtype=np.int8)
+    for limit in range(1, 3001):
+        assert np.array_equal(mobius_up_to(limit), brute[: limit + 1]), limit
 
 
 def test_euler_phi():
