@@ -34,17 +34,13 @@ _SPRP_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 @dataclass
 class SieveCache:
-    """The primes up to ``limit``.
+    """The primes up to a primes_up_to limit.
 
     Immutable after construction; safe to share across threads.
     """
 
-    limit: int
     primes: np.ndarray  # ascending int64
     spf: None = None  # always None; perfbench/tracing.py's _after_sieve reads it
-
-    def prime_count(self) -> int:
-        return int(self.primes.size)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def primes_up_to(limit: int) -> SieveCache:
     check_range(limit, 0, SIEVE_LIMIT_GUARD, "sieve", name="limit")
 
     if limit < 2:
-        return SieveCache(limit, np.empty(0, dtype=np.int64))
+        return SieveCache(np.empty(0, dtype=np.int64))
 
     base = _simple_sieve(isqrt(limit))
     base = base[base > _PRESIEVE_PRIMES[-1]]
@@ -130,7 +126,7 @@ def primes_up_to(limit: int) -> SieveCache:
         for p, s in zip(base[:active].tolist(), starts.tolist()):
             seg[s::p] = False
         chunks.append((np.flatnonzero(seg) * 2 + (2 * m0 + 1)).astype(np.int32))
-    return SieveCache(limit, np.concatenate(chunks, dtype=np.int64))
+    return SieveCache(np.concatenate(chunks, dtype=np.int64))
 
 
 def is_prime(n: int) -> bool:

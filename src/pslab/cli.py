@@ -199,7 +199,7 @@ def _cmd_sum(args) -> None:
             with open(args.instance, encoding="utf-8") as fh:
                 text = fh.read()
         inst = expsum.SumInstance.from_json(text)
-        value = expsum.eval_sum(inst, threads=args.threads)
+        value = expsum.eval_sum(inst)
         print(f"{value.real!r} {value.imag!r} abs={abs(value)!r}")
     elif args.sum_cmd == "bound":
         if args.kind == "vdc2":
@@ -245,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic and empirical verification lab for "
         "the sequences floor(n^c) with rational non-integer c > 1.",
     )
-    root.add_argument("--threads", type=int, default=None, help="sum eval worker pool size (default: PSLAB_THREADS or 1)")
     sub = root.add_subparsers(dest="group", required=True)
 
     ps = sub.add_parser("ps", help="floor-power arithmetic and value-set membership")
@@ -382,23 +381,9 @@ _HANDLERS = {
 }
 
 
-def _threads(flag: Optional[int]) -> int:
-    """The sum eval pool size: --threads, else PSLAB_THREADS, else 1."""
-    if flag is None:
-        text = os.environ.get("PSLAB_THREADS", "1")
-        try:
-            flag = int(text)
-        except ValueError as exc:
-            raise ValidationError(f"PSLAB_THREADS={text!r} must be an integer") from exc
-    if flag < 1:
-        raise ValidationError(f"thread count {flag} must be >= 1")
-    return flag
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.threads = _threads(args.threads)
         _HANDLERS[args.group](args)
     except RouteDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)

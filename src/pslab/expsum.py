@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -124,13 +125,19 @@ class BoundReport:
         object.__setattr__(self, "ratio", self.observed / self.bound if self.bound > 0 else math.inf)
 
 
-def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
+def eval_sum(instance: SumInstance, threads: Optional[int] = None) -> complex:
     """Exact direct summation of sum a*b*e(phase) over the instance ranges.
 
     Terms are evaluated in fixed chunks of 2^16 lattice points; chunk sums
     use pairwise accumulation and are combined with math.fsum, so the value
-    is deterministic for any thread count.
+    is deterministic for any thread count.  The pool has one worker per CPU
+    unless ``threads`` says otherwise, and never more than there are chunks;
+    a pool of one runs inline.
     """
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads < 1:
+        raise ValidationError(f"thread count {threads} must be >= 1")
     check_range(instance.n_terms(), 1, TERM_GUARD, "term", name="terms")
 
     axes = [instance.variable_values(i).astype(np.float64) for i in range(len(instance.ranges))]
@@ -167,10 +174,11 @@ def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
     total = int(np.prod(shape))
     bounds = [(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
 
-    if threads > 1 and len(bounds) > 1:
+    workers = min(threads, len(bounds))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(lambda b: chunk_value(*b), bounds))
     else:
         partials = [chunk_value(*b) for b in bounds]

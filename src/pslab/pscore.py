@@ -182,18 +182,14 @@ def is_ps_value(k: int, c: ExponentC) -> PsWitness:
     """Decide whether k = floor(n^c) for some n, returning the witness.
 
     With n0 = floor(k^(1/c)), n0^c <= k < (n0+1)^c, and consecutive powers
-    beyond n0 + 1 lie more than 1 apart, so the preimage is n0 when
-    n0^c = k, else n0 + 1 when (n0+1)^c < k + 1, else there is none.
+    beyond n0 + 1 lie more than 1 apart, so a preimage can only be n0 or
+    n0 + 1; each is checked by its exact floor.
     """
     if k < 1:
         raise ValidationError(f"is_ps_value requires k >= 1, got {k}")
-    e = Fraction(c.p, c.q)
     n0 = _floor_pow(k, c.q, c.p)
-    if not exceeds(k, n0, e):
-        return PsWitness(k, n0)
-    if exceeds(k + 1, n0 + 1, e):
-        return PsWitness(k, n0 + 1)
-    return PsWitness(k, None)
+    preimage = next((n for n in (n0, n0 + 1) if _floor_pow(n, c.p, c.q) == k), None)
+    return PsWitness(k, preimage)
 
 
 def ps_values_in(lo: int, hi: int, c: ExponentC) -> Iterator[PsWitness]:
@@ -308,6 +304,6 @@ def ps_value_chunks(X: int, c: ExponentC) -> Iterator[np.ndarray]:
     consecutive preimages n = 1, 2, ...; the last preimage is floor(X^(1/c)),
     or one more when its successor's value is X, so none is missed."""
     n_max = _floor_pow(X, c.q, c.p)
-    n_max += exceeds(X + 1, n_max + 1, Fraction(c.p, c.q))
+    n_max += _floor_pow(n_max + 1, c.p, c.q) <= X
     for lo in range(1, n_max + 1, CHUNK):
         yield floor_pow_bulk(np.arange(lo, min(lo + CHUNK, n_max + 1), dtype=np.int64), c)

@@ -141,7 +141,8 @@ def brun_titchmarsh_report(q: ApQuery) -> float:
     """Empirical constant pi_c(x;d,a) * phi(d) * log(x) / x^gamma.
 
     The upper-bound constant in the progression estimate is non-effective;
-    this reports its measured value for trend studies.
+    this reports its measured value for trend studies.  phi(d) comes first:
+    its factorization guard refuses a large d before the count sieves.
     """
-    count = pi_c_ap(q)
-    return count * euler_phi(q.d) * log(q.x) / float(q.x) ** q.c.gamma
+    phi = euler_phi(q.d)
+    return pi_c_ap(q) * phi * log(q.x) / float(q.x) ** q.c.gamma

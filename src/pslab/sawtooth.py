@@ -11,7 +11,6 @@ scaled Fejér kernel and hence real and nonnegative everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -61,29 +60,12 @@ class VaalerKernel:
 
     c_imag[h-1] is Im c_h for h = 1..H (every c_h is purely imaginary and
     c_{-h} = conj(c_h)); d[h] is the real, symmetric majorant coefficient
-    d_h = d_{-h} for h = 0..H.  c_coeffs maps h (0 < |h| <= H) to c_h and
-    d_coeffs maps |h| <= H to d_h, built from the arrays when first read.
+    d_h = d_{-h} for h = 0..H.
     """
 
     H: int
     c_imag: np.ndarray
     d: np.ndarray
-
-    @cached_property
-    def c_coeffs(self) -> dict[int, complex]:
-        c: dict[int, complex] = {}
-        for h, w in enumerate(self.c_imag.tolist(), 1):
-            c[h] = complex(0.0, w)
-            c[-h] = complex(0.0, -w)
-        return c
-
-    @cached_property
-    def d_coeffs(self) -> dict[int, float]:
-        d = self.d.tolist()
-        out = {0: d[0]}
-        for h in range(1, self.H + 1):
-            out[h] = out[-h] = d[h]
-        return out
 
     def approx(self, t) -> np.ndarray:
         """sum c_h e(th) = -2 sum_{h>=1} Im(c_h) sin(2 pi h t), real since c_{-h} = conj(c_h)."""

@@ -26,8 +26,8 @@ PI_TABLE = {10: 4, 100: 25, 10**3: 168, 10**4: 1229, 10**6: 78498}
 
 def test_sieve_counts():
     for limit, count in PI_TABLE.items():
-        assert primes_up_to(limit).prime_count() == count
-    assert primes_up_to(1).prime_count() == 0
+        assert primes_up_to(limit).primes.size == count
+    assert primes_up_to(1).primes.size == 0
     assert list(primes_up_to(10).primes) == [2, 3, 5, 7]
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pslab.cli import main
+from pslab.expsum import SumInstance, eval_sum
 
 
 def run(capsys, *argv):
@@ -202,19 +203,18 @@ def test_exit_code_guard_error(capsys):
     assert code == 3 and "guard" in err.lower()
 
 
-def test_threads_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("PSLAB_THREADS", "2")
-    code, out, _ = run(capsys, "experiment", "residues", "--N", "1000", "--c", "17/10", "--q", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 4  # header + all three residues
-    total = sum(float(line.split(",")[2]) for line in lines[1:])
-    assert total == 1000.0
+def test_bt_ratio_refuses_a_large_modulus(capsys):
+    # d over the factorization guard: phi(d) refuses it before any sieving
+    code, out, err = run(
+        capsys, "primes", "bt-ratio", "--x", str(10**8), "--d", str(10**15 + 1), "--a", "1", "--c", "21/20"
+    )
+    assert code == 3 and out == "" and "guard" in err.lower()
 
 
 def test_threads_flag_deterministic(capsys, tmp_path):
     # sum eval is the one pooled command; 300 x 300 terms span two 2^16-term
-    # chunks, so --threads 2 runs the pool
+    # chunks, so its default pool of one worker per CPU may run them apart,
+    # and it prints the one-worker value all the same
     inst = tmp_path / "inst.json"
     inst.write_text(
         json.dumps(
@@ -225,12 +225,10 @@ def test_threads_flag_deterministic(capsys, tmp_path):
             }
         )
     )
-    outs = []
-    for t in ("1", "2"):
-        code, out, _ = run(capsys, "--threads", t, "sum", "eval", "--instance", str(inst))
-        assert code == 0 and "abs=" in out
-        outs.append(out)
-    assert outs[0] == outs[1]
+    value = eval_sum(SumInstance.from_json(inst.read_text()), threads=1)
+    code, out, _ = run(capsys, "sum", "eval", "--instance", str(inst))
+    assert code == 0
+    assert out == f"{value.real!r} {value.imag!r} abs={abs(value)!r}\n"
 
 
 def _one_error_line(err):
@@ -252,24 +250,6 @@ def test_experiment_residues_rejects_q_below_one(capsys, q, fmt):
     code, out, err = run(
         capsys, "experiment", "residues", "--N", "1000", "--c", "17/10", "--q", q, "--format", fmt
     )
-    assert code == 2 and out == "" and _one_error_line(err)
-
-
-def test_threads_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("PSLAB_THREADS", "abc")
-    code, out, err = run(capsys, "ps", "floor", "--n", "10", "--c", "3/2")
-    assert code == 2 and out == "" and _one_error_line(err)
-
-
-@pytest.mark.parametrize("source", ["flag", "env"])
-@pytest.mark.parametrize("threads", ["-4", "0"])
-def test_threads_below_one_rejected(capsys, monkeypatch, source, threads):
-    argv = ["ps", "floor", "--n", "10", "--c", "3/2"]
-    if source == "flag":
-        argv = ["--threads", threads] + argv
-    else:
-        monkeypatch.setenv("PSLAB_THREADS", threads)
-    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and _one_error_line(err)
 
 

@@ -102,6 +102,11 @@ def test_eval_sum_threads_deterministic():
     assert eval_sum(inst, threads=1) == eval_sum(inst, threads=4)
 
 
+def test_eval_sum_rejects_threads_below_one():
+    with pytest.raises(ValidationError):
+        eval_sum(_linear_instance(0.5, 2), threads=0)
+
+
 def test_json_round_trip():
     inst = SumInstance(
         MonomialPhase(0.25, ((0, 1.5), (1, -0.5)), shift=0.125),

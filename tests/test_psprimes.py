@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,15 @@ def test_brun_titchmarsh_finite_positive():
     q = ApQuery(10**4, 3, 1, C32)
     r = brun_titchmarsh_report(q)
     assert math.isfinite(r) and r > 0
+
+
+def test_brun_titchmarsh_refuses_a_large_modulus_before_counting():
+    # phi(d) is taken first, so the factorization guard refuses d before the
+    # count sieves 10^8 and generates the sequence values
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError):
+        brun_titchmarsh_report(ApQuery(10**8, 10**15 + 1, 1, ExponentC(21, 20)))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_brun_titchmarsh_sweep_envelope():

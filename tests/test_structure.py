@@ -1,7 +1,8 @@
 """One path per job: the package keeps a single thread pool, a single chunk
 constant, no smallest-prime-factor table route, one vectorized route in
 floor_pow_bulk, one sorted-array membership lookup, one sieve route, one
-exact rational power in pscore, and reports built once."""
+exact rational power in pscore, and reports built once; nothing is read
+from the environment and the command line has no root options."""
 import inspect
 import re
 from pathlib import Path
@@ -19,6 +20,16 @@ def _count(pattern):
 
 def test_one_thread_pool():
     assert _count(r"ThreadPoolExecutor\(") == 1
+
+
+def test_no_environment_reads():
+    assert _count(r"environ|getenv") == 0
+
+
+def test_root_parser_has_no_options():
+    from pslab import cli
+
+    assert [s for a in cli.build_parser()._actions for s in a.option_strings] == ["-h", "--help"]
 
 
 def test_one_chunk_constant():
