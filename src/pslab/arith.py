@@ -10,12 +10,13 @@ trial-division pass and the same rho for the cofactors it must split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum, gcd, isqrt, log, prod
 
 import numpy as np
 
 from .errors import GuardError, ValidationError, check_range
-from .pscore import integer_root
+from .pscore import CHUNK, integer_root
 
 SIEVE_LIMIT_GUARD = 10**9
 FACTOR_GUARD = 10**14
@@ -275,11 +276,14 @@ class FactorStream:
         """sum over values of log p over the distinct primes p | value.
 
         A cofactor contributes log r, or log sqrt(r) when r = p^2, so none
-        is split; math.fsum makes the total independent of order.
+        is split; math.fsum makes the total independent of order, so the
+        cofactor logs are fed to it one CHUNK at a time, never as one list.
         """
         r = np.where(self.square, self.root, self.cofactor)
+        r = r[r > 1].astype(np.float64)
         terms = [h * log(p) for p, h in zip(self.primes.tolist(), self.hits.tolist()) if h]
-        return fsum(terms + np.log(r[r > 1].astype(np.float64)).tolist())
+        cofactors = (np.log(r[lo : lo + CHUNK]).tolist() for lo in range(0, r.size, CHUNK))
+        return fsum(chain(terms, chain.from_iterable(cofactors)))
 
     def largest_prime(self) -> np.ndarray:
         """P(value) for every value, 1 for the value 1.

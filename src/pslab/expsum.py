@@ -10,16 +10,94 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError, check_range
-from .pscore import CHUNK
 
 TERM_GUARD = 10**8
+# points per block of the float kernels (eval_sum and the sawtooth kernels):
+# a block's temporaries stay near cache size instead of spanning the whole
+# input; 2^15 gave the least eval_sum time of 2^12..2^15 (CHANGES.md)
+BLOCK = 1 << 15
+
+# e(x) = exp(2 pi i x) by table lookup plus a short series (Tang, ACM TOMS
+# 15, 1989): e(x) = e(k/T) e(r/T) with x = n + (k + r)/T, |r| <= 1/2
+_T = 1 << 12
+
+
+def _e_table() -> tuple[np.ndarray, np.ndarray]:
+    # cos and sin of 2 pi j/T, each from an angle of at most pi/4 and a
+    # quarter turn, so no entry is off by more than 1.2e-16 (checked at 100 bits)
+    j = np.arange(_T)
+    quarter = np.rint(j / (_T // 4))
+    a = (np.pi / (_T // 2)) * (j - quarter * (_T // 4))
+    c, s = np.cos(a), np.sin(a)
+    q = quarter.astype(np.intp) % 4
+    return np.choose(q, [c, -s, -c, s]), np.choose(q, [s, c, -s, -c])
+
+
+_COS, _SIN = _e_table()
+# the angle is 2 pi r/T = _W r; cos - 1 and sin to three and two terms
+_W = 2.0 * np.pi / _T
+_C2, _C4, _S3 = -(_W**2) / 2.0, _W**4 / 24.0, -(_W**3) / 6.0
+
+
+def cis2pi(x) -> np.ndarray:
+    """e(x) = exp(2 pi i x) elementwise for float64 x, within 1e-15."""
+    x = np.asarray(x, dtype=np.float64)
+    return _cis2pi_into(x.size)(x.ravel()).reshape(x.shape)
+
+
+def _cis2pi_into(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """e(x) for 1-d float64 x of at most n points, computed in buffers made
+    here once and overwritten by the next call.
+
+    A block walk that allocated and freed its dozen block-sized temporaries
+    per block made malloc hand the pages back and fault them in again: about
+    3x slower in a fresh process.  x - rint(x), its scaling u by T = 2^12 and
+    r = u - rint(u) are exact, so the only errors are the table's 1.2e-16,
+    the last roundings of the series and their truncation at |angle| <= pi/T
+    (below 1e-17).
+    """
+    work = np.empty((7, n))
+    z = np.empty(n, np.complex128)
+
+    def e(x: np.ndarray) -> np.ndarray:
+        r, k, c, s, sin, tmp, idx = work[:, : x.size]
+        idx = idx.view(np.intp)
+        np.rint(x, out=r)
+        np.subtract(x, r, out=r)
+        r *= _T
+        np.rint(r, out=k)
+        r -= k
+        np.copyto(idx, k, casting="unsafe")
+        # k mod T, so "clip" never clips; unlike "raise" it writes out directly
+        idx &= _T - 1
+        _COS.take(idx, out=c, mode="clip")
+        _SIN.take(idx, out=s, mode="clip")
+        r2 = np.square(r, out=k)
+        np.multiply(r2, _S3, out=sin)
+        sin += _W
+        sin *= r
+        cos_m1 = np.multiply(r2, _C4, out=r)
+        cos_m1 += _C2
+        cos_m1 *= r2
+        # e(k/T) e(r/T) = (c + i s)(1 + cos_m1 + i sin), the small parts first
+        out = z[: x.size]
+        np.multiply(c, cos_m1, out=tmp)
+        tmp -= np.multiply(s, sin, out=r2)
+        tmp += c
+        out.real = tmp
+        np.multiply(s, cos_m1, out=tmp)
+        tmp += np.multiply(c, sin, out=r2)
+        tmp += s
+        out.imag = tmp
+        return out
+
+    return e
 
 
 @dataclass(frozen=True)
@@ -125,72 +203,96 @@ class BoundReport:
         object.__setattr__(self, "ratio", self.observed / self.bound if self.bound > 0 else math.inf)
 
 
-def eval_sum(instance: SumInstance, threads: Optional[int] = None) -> complex:
-    """Exact direct summation of sum a*b*e(phase) over the instance ranges.
+def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
+    """Direct float64 summation of sum a*b*e(phase) over the instance ranges.
 
-    Terms are evaluated in fixed chunks of 2^16 lattice points; chunk sums
+    Each phase is the float64 A * prod x_i^{e_i} + shift * prod x_i, the
+    factors multiplied in axis order, and each e(phase) is within 1e-15 of
+    e at that float phase (``cis2pi``); rounding the phase itself moves a
+    term by up to about 2 pi |phase| 2^-53, and a phase that overflows
+    float64 is refused.  The lattice is walked in blocks of whole rows of the
+    last axis, at most BLOCK points each (a longer row is split); block sums
     use pairwise accumulation and are combined with math.fsum, so the value
-    is deterministic for any thread count.  The pool has one worker per CPU
-    unless ``threads`` says otherwise, and never more than there are chunks;
-    a pool of one runs inline.
+    does not depend on ``threads``.  The default is one worker; with more,
+    each takes a contiguous stripe of blocks.
     """
-    if threads is None:
-        threads = os.cpu_count() or 1
     if threads < 1:
         raise ValidationError(f"thread count {threads} must be >= 1")
     check_range(instance.n_terms(), 1, TERM_GUARD, "term", name="terms")
 
     axes = [instance.variable_values(i).astype(np.float64) for i in range(len(instance.ranges))]
     exps = dict(instance.phase.exponents)
+    with np.errstate(over="ignore"):
+        # x^0 = 1 and multiplying by 1 is exact, so an axis without an
+        # exponent leaves every phase as it was
+        powers = [ax ** exps.get(i, 0.0) for i, ax in enumerate(axes)]
+    A, shift = instance.phase.A, instance.phase.shift
+    # the largest |phase|, exact for a monomial: every factor is positive and
+    # monotone along its axis
+    largest = abs(A) * math.prod(max(float(p[0]), float(p[-1])) for p in powers)
+    largest += abs(shift) * math.prod(float(ax[-1]) for ax in axes)
+    if not math.isfinite(largest):
+        raise ValidationError("the phase overflows float64 on the instance ranges")
 
-    def chunk_value(flat_lo: int, flat_hi: int) -> complex:
-        idx = np.arange(flat_lo, flat_hi)
-        coords = np.unravel_index(idx, shape)
-        grids = [axes[i][coords[i]] for i in range(len(axes))]
-        mono = np.full(idx.shape, instance.phase.A, dtype=np.float64)
-        for i, g in enumerate(grids):
-            if i in exps:
-                mono = mono * g ** exps[i]
-        phase = mono
-        if instance.phase.shift:
-            prod = grids[0].copy()
-            for g in grids[1:]:
-                prod = prod * g
-            phase = phase + instance.phase.shift * prod
-        term = np.exp(2j * np.pi * np.mod(phase, 1.0))
-        if instance.weights is not None:
-            for i, w in enumerate(instance.weights):
+    lead_shape = tuple(ax.size for ax in axes[:-1])
+    rows, L = math.prod(lead_shape), axes[-1].size
+    if L <= BLOCK:
+        k = BLOCK // L
+        blocks = [(r, min(r + k, rows), 0, L) for r in range(0, rows, k)]
+    else:
+        blocks = [(r, r + 1, s, min(s + BLOCK, L)) for r in range(rows) for s in range(0, L, BLOCK)]
+    weighted = instance.weights is not None or instance.joint_weight is not None
+
+    def block_value(e: Callable, buf: np.ndarray, r0: int, r1: int, s0: int, s1: int) -> complex:
+        lead = np.unravel_index(np.arange(r0, r1), lead_shape) if lead_shape else ()
+        factor = np.full(r1 - r0, A)
+        for i, c in enumerate(lead):
+            factor = factor * powers[i][c]
+        phase = buf[: (r1 - r0) * (s1 - s0)]
+        np.multiply.outer(factor, powers[-1][s0:s1], out=phase.reshape(r1 - r0, s1 - s0))
+        if shift:
+            prod = np.ones(r1 - r0)
+            for i, c in enumerate(lead):
+                prod = prod * axes[i][c]
+            phase += shift * np.multiply.outer(prod, axes[-1][s0:s1]).ravel()
+        term = e(phase)
+        if weighted:
+            grids = [np.repeat(axes[i][c], s1 - s0) for i, c in enumerate(lead)]
+            grids.append(np.tile(axes[-1][s0:s1], r1 - r0))
+            for i, w in enumerate(instance.weights or ()):
                 if w is not None:
-                    wv = np.asarray(w(grids[i]))
-                    _check_bounded(wv)
-                    term = term * wv
-        if instance.joint_weight is not None:
-            wv = np.asarray(instance.joint_weight(*grids))
-            _check_bounded(wv)
-            term = term * wv
+                    term = term * _bounded(w(grids[i]))
+            if instance.joint_weight is not None:
+                term = term * _bounded(instance.joint_weight(*grids))
         return complex(np.sum(term))
 
-    shape = tuple(a.size for a in axes)
-    total = int(np.prod(shape))
-    bounds = [(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
+    def stripe_values(stripe: list) -> list[complex]:
+        # each worker reuses one set of block buffers for all its blocks
+        size = min(BLOCK, instance.n_terms())
+        e, buf = _cis2pi_into(size), np.empty(size)
+        return [block_value(e, buf, *b) for b in stripe]
 
-    workers = min(threads, len(bounds))
+    workers = min(threads, len(blocks))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        step = -(-len(blocks) // workers)
+        stripes = [blocks[i : i + step] for i in range(0, len(blocks), step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda b: chunk_value(*b), bounds))
+            partials = [p for part in pool.map(stripe_values, stripes) for p in part]
     else:
-        partials = [chunk_value(*b) for b in bounds]
+        partials = stripe_values(blocks)
 
     # math.fsum is correctly rounded: the value does not depend on the order
     # of the partials, hence not on the thread count
     return complex(math.fsum(p.real for p in partials), math.fsum(p.imag for p in partials))
 
 
-def _check_bounded(w: np.ndarray) -> None:
+def _bounded(w) -> np.ndarray:
+    w = np.asarray(w)
     if w.size and float(np.max(np.abs(w))) > 1.0 + 1e-12:
         raise ValidationError("weight callbacks must stay bounded by 1")
+    return w
 
 
 def ratio_report(instance: SumInstance, bound: float, meta: str = "") -> BoundReport:

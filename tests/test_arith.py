@@ -231,6 +231,18 @@ def test_factor_stream_refuses_out_of_range_values():
     assert factor_stream(np.zeros(0, dtype=np.int64)).log_sum == 0.0
 
 
+def test_log_sum_equals_one_list_fsum():
+    from pslab.pscore import CHUNK
+
+    # more cofactors above 1 than one CHUNK, so log_sum feeds fsum in pieces
+    vals = np.arange(10**6, 10**6 + 3 * CHUNK, dtype=np.int64) ** 2 // 7 + 1
+    fs = factor_stream(vals)
+    r = np.where(fs.square, fs.root, fs.cofactor)
+    assert int(np.count_nonzero(r > 1)) > CHUNK
+    terms = [h * math.log(p) for p, h in zip(fs.primes.tolist(), fs.hits.tolist()) if h]
+    assert fs.log_sum == math.fsum(terms + np.log(r[r > 1].astype(np.float64)).tolist())
+
+
 def test_mobius_values():
     mu = mobius_up_to(100)
     assert mu[1] == 1 and mu[2] == -1 and mu[4] == 0 and mu[30] == -1

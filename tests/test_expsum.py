@@ -1,8 +1,11 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslab import (
     GuardError,
@@ -16,6 +19,7 @@ from pslab import (
     bound_trilinear,
     eval_sum,
 )
+from pslab.expsum import BLOCK, cis2pi
 
 
 def _linear_instance(A, N, dyadic=False):
@@ -100,11 +104,95 @@ def test_eval_sum_shift_term():
 def test_eval_sum_threads_deterministic():
     inst = SumInstance(MonomialPhase(0.0137, ((0, 1.7),)), ((200000, False),))
     assert eval_sum(inst, threads=1) == eval_sum(inst, threads=4)
+    # 60 blocks of one row each
+    inst = SumInstance(MonomialPhase(0.2113, ((0, 1.5), (1, 0.5))), ((60, True), (3 * BLOCK // 4, True)))
+    values = [eval_sum(inst, threads=n) for n in (1, 2, 4)]
+    assert values[0] == values[1] == values[2]
 
 
 def test_eval_sum_rejects_threads_below_one():
     with pytest.raises(ValidationError):
         eval_sum(_linear_instance(0.5, 2), threads=0)
+
+
+def _e_mpmath(x: float) -> complex:
+    y = mpmath.mpf(x)  # the binary value of x, exactly
+    y -= mpmath.floor(y)
+    return complex(mpmath.cospi(2 * y), mpmath.sinpi(2 * y))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_E_ARGUMENTS = st.one_of(
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+    _FINITE.filter(lambda x: abs(x) >= 2.0**52),
+    st.integers(-(2**40), 2**40).map(lambda k: k / 4096),
+    st.integers(-(2**40), 2**40).map(lambda k: (2 * k + 1) / 8192),
+    st.just(0.5),
+    _FINITE,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_E_ARGUMENTS, min_size=1, max_size=40))
+def test_cis2pi_matches_mpmath(xs):
+    got = cis2pi(np.array(xs))
+    with mpmath.workprec(80):
+        for x, z in zip(xs, got.tolist()):
+            assert abs(z - _e_mpmath(x)) <= 1e-15, x
+
+
+def _rowwise_fsum(A, exps, shift, axes, weights=None, joint=None):
+    """sum e(phase) * weights with the phase formed as eval_sum documents
+    (factors in axis order), e(x) from libm after an exact mod 1, and each
+    row of the last axis summed with math.fsum."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    phase = np.full(grids[0].shape, A)
+    for i, e in exps:
+        phase = phase * grids[i] ** e
+    if shift:
+        prod = grids[0].copy()
+        for g in grids[1:]:
+            prod = prod * g
+        phase = phase + shift * prod
+    term = np.exp(2j * np.pi * np.mod(phase, 1.0))
+    for i, w in enumerate(weights or ()):
+        if w is not None:
+            term = term * w(grids[i])
+    if joint is not None:
+        term = term * joint(*grids)
+    rows = term.reshape(-1, axes[-1].size)
+    re = math.fsum(math.fsum(r.real.tolist()) for r in rows)
+    return complex(re, math.fsum(math.fsum(r.imag.tolist()) for r in rows))
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        ((3, True), (2 * BLOCK + 5000, False)),  # rows longer than a block, split
+        ((40, True), (30, False), (700, True)),  # many short rows per block
+    ],
+)
+def test_eval_sum_blocks_match_rowwise_fsum(ranges):
+    exps = tuple((i, e) for i, e in zip(range(len(ranges)), (1.5, 0.5, 1.25)))
+    weights = (lambda m: np.cos(m),) + (None,) * (len(ranges) - 1)
+    joint = lambda *g: np.where(sum(g) % 3 == 0, -1.0, 1.0)  # noqa: E731
+    inst = SumInstance(
+        MonomialPhase(0.0731, exps, shift=1 / 13), ranges, weights=weights, joint_weight=joint
+    )
+    assert inst.n_terms() > 3 * BLOCK
+    axes = [inst.variable_values(i).astype(np.float64) for i in range(len(ranges))]
+    want = _rowwise_fsum(0.0731, exps, 1 / 13, axes, weights, joint)
+    # both form the same float phases; each e(phase) is within 1e-15 on either side
+    assert abs(eval_sum(inst) - want) <= 2e-15 * inst.n_terms()
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [MonomialPhase(1e300, ((0, 200.0),)), MonomialPhase(1.0, ((0, 1.0),), shift=1e308)],
+)
+def test_eval_sum_refuses_a_phase_that_overflows(phase):
+    with pytest.raises(ValidationError, match="overflows"):
+        eval_sum(SumInstance(phase, ((10, True),)))
 
 
 def test_json_round_trip():

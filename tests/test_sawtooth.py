@@ -133,6 +133,19 @@ def test_vaaler_kernel_matches_fsum_series(H, t):
     assert float(np.max(np.abs(k.majorant(t) - maj))) <= 1e-10
 
 
+def test_blocked_kernels_equal_one_block(monkeypatch):
+    from pslab import sawtooth
+
+    k = vaaler_kernel(60)
+    t = np.linspace(-3.0, 7.0, 2 * sawtooth.BLOCK + 4321)
+    blocked = k.approx(t), k.majorant(t), erdos_turan_rhs(t, 60)
+    monkeypatch.setattr(sawtooth, "BLOCK", t.size)
+    whole = k.approx(t), k.majorant(t), erdos_turan_rhs(t, 60)
+    assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
+    # S_h is accumulated over the blocks, so only its rounding may differ
+    assert blocked[2] == pytest.approx(whole[2], rel=1e-12)
+
+
 def test_erdos_turan_matches_fsum_recount():
     K, H = 2000, 500
     t = np.arange(1, K + 1, dtype=np.float64) ** (2.0 / 3.0)

@@ -1,8 +1,8 @@
 """One path per job: the package keeps a single thread pool, a single chunk
 constant, no smallest-prime-factor table route, one vectorized route in
 floor_pow_bulk, one sorted-array membership lookup, one sieve route, one
-exact rational power in pscore, and reports built once; nothing is read
-from the environment and the command line has no root options."""
+exact rational power in pscore, one e(x), and reports built once; nothing
+is read from the environment and the command line has no root options."""
 import inspect
 import re
 from pathlib import Path
@@ -119,3 +119,14 @@ def test_no_knobs_with_one_value_in_use():
 
     assert "eps" not in inspect.signature(experiments.convolution_count).parameters
     assert "threads" not in inspect.signature(expsum.ratio_report).parameters
+
+
+def test_one_e_of_x():
+    from pslab import expsum
+
+    # e(x) = exp(2 pi i x) comes from expsum.cis2pi and its cos/sin table only
+    assert "np.mod(" not in SOURCES["expsum.py"]
+    assert _count(r"np\.exp\(|\dj\b") == 0
+    assert _count(r"np\.(cos|sin)\(") == 2
+    assert inspect.getsource(expsum._e_table).count("np.cos(") == 1
+    assert all("cis2pi(" in SOURCES[name] for name in ("expsum.py", "sawtooth.py"))
