@@ -153,9 +153,10 @@ class SumInstance:
             if not (0 <= var < len(self.ranges)):
                 raise ValidationError(f"phase variable {var} has no range")
 
-    def variable_values(self, i: int) -> np.ndarray:
+    def variable_values(self, i: int, idx: np.ndarray) -> np.ndarray:
+        """Variable i's float64 values at 0-based positions idx in its range."""
         M, dyadic = self.ranges[i]
-        return np.arange(M + 1, 2 * M + 1) if dyadic else np.arange(1, M + 1)
+        return (idx + (M + 1 if dyadic else 1)).astype(np.float64)
 
     def n_terms(self) -> int:
         out = 1
@@ -211,54 +212,66 @@ def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
     e at that float phase (``cis2pi``); rounding the phase itself moves a
     term by up to about 2 pi |phase| 2^-53, and a phase that overflows
     float64 is refused.  The lattice is walked in blocks of whole rows of the
-    last axis, at most BLOCK points each (a longer row is split); block sums
-    use pairwise accumulation and are combined with math.fsum, so the value
-    does not depend on ``threads``.  The default is one worker; with more,
-    each takes a contiguous stripe of blocks.
+    last axis, at most BLOCK points each (a longer row is split), and only a
+    block's values and powers are formed, so the memory stays near BLOCK
+    points whatever the ranges; block sums use pairwise accumulation and are
+    combined with math.fsum, so the value does not depend on ``threads``.
+    The default is one worker; with more, each takes a contiguous stripe of
+    blocks.
     """
     if threads < 1:
         raise ValidationError(f"thread count {threads} must be >= 1")
     check_range(instance.n_terms(), 1, TERM_GUARD, "term", name="terms")
 
-    axes = [instance.variable_values(i).astype(np.float64) for i in range(len(instance.ranges))]
     exps = dict(instance.phase.exponents)
-    with np.errstate(over="ignore"):
+
+    def axis(i: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # x^0 = 1 and multiplying by 1 is exact, so an axis without an
         # exponent leaves every phase as it was
-        powers = [ax ** exps.get(i, 0.0) for i, ax in enumerate(axes)]
+        v = instance.variable_values(i, idx)
+        return v, v ** exps.get(i, 0.0)
+
     A, shift = instance.phase.A, instance.phase.shift
-    # the largest |phase|, exact for a monomial: every factor is positive and
-    # monotone along its axis
-    largest = abs(A) * math.prod(max(float(p[0]), float(p[-1])) for p in powers)
-    largest += abs(shift) * math.prod(float(ax[-1]) for ax in axes)
+    shape = tuple(M for M, _ in instance.ranges)
+    *lead_shape, L = shape
+    with np.errstate(over="ignore"):
+        ends = [axis(i, np.array([0, M - 1])) for i, M in enumerate(shape)]
+    # the largest |phase|, multiplied in the order the blocks multiply: every
+    # factor is positive and monotone along its axis and rounding is
+    # monotone, so no partial product of a point exceeds this one's
+    largest = math.prod((float(max(p)) for _, p in ends), start=abs(A))
+    largest += abs(shift) * math.prod(float(v[1]) for v, _ in ends)
     if not math.isfinite(largest):
         raise ValidationError("the phase overflows float64 on the instance ranges")
 
-    lead_shape = tuple(ax.size for ax in axes[:-1])
-    rows, L = math.prod(lead_shape), axes[-1].size
+    rows = math.prod(lead_shape)
     if L <= BLOCK:
         k = BLOCK // L
         blocks = [(r, min(r + k, rows), 0, L) for r in range(0, rows, k)]
+        last = axis(len(shape) - 1, np.arange(L))  # shared by every block
     else:
         blocks = [(r, r + 1, s, min(s + BLOCK, L)) for r in range(rows) for s in range(0, L, BLOCK)]
+        last = None
     weighted = instance.weights is not None or instance.joint_weight is not None
 
     def block_value(e: Callable, buf: np.ndarray, r0: int, r1: int, s0: int, s1: int) -> complex:
-        lead = np.unravel_index(np.arange(r0, r1), lead_shape) if lead_shape else ()
+        idx = np.unravel_index(np.arange(r0, r1), lead_shape) if lead_shape else ()
+        lead = [axis(i, c) for i, c in enumerate(idx)]
+        lv, lp = last if last is not None else axis(len(shape) - 1, np.arange(s0, s1))
         factor = np.full(r1 - r0, A)
-        for i, c in enumerate(lead):
-            factor = factor * powers[i][c]
+        for _, p in lead:
+            factor = factor * p
         phase = buf[: (r1 - r0) * (s1 - s0)]
-        np.multiply.outer(factor, powers[-1][s0:s1], out=phase.reshape(r1 - r0, s1 - s0))
+        np.multiply.outer(factor, lp, out=phase.reshape(r1 - r0, s1 - s0))
         if shift:
             prod = np.ones(r1 - r0)
-            for i, c in enumerate(lead):
-                prod = prod * axes[i][c]
-            phase += shift * np.multiply.outer(prod, axes[-1][s0:s1]).ravel()
+            for v, _ in lead:
+                prod = prod * v
+            phase += shift * np.multiply.outer(prod, lv).ravel()
         term = e(phase)
         if weighted:
-            grids = [np.repeat(axes[i][c], s1 - s0) for i, c in enumerate(lead)]
-            grids.append(np.tile(axes[-1][s0:s1], r1 - r0))
+            grids = [np.repeat(v, s1 - s0) for v, _ in lead]
+            grids.append(np.tile(lv, r1 - r0))
             for i, w in enumerate(instance.weights or ()):
                 if w is not None:
                     term = term * _bounded(w(grids[i]))

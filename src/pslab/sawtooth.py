@@ -75,23 +75,22 @@ class VaalerKernel:
 
     def approx(self, t) -> np.ndarray:
         """sum c_h e(th) = -2 sum_{h>=1} Im(c_h) sin(2 pi h t), real since c_{-h} = conj(c_h)."""
-        t = np.ravel(np.asarray(t, dtype=np.float64))
-        acc = np.zeros(t.shape)
-        for b in _blocks(t, self.H):
-            a = acc[b]
-            for w, zh in zip(self.c_imag, _powers(t[b], self.H)):
-                a += w * zh.imag
-        return -2.0 * acc
+        return -2.0 * _series(t, self.c_imag, np.imag)
 
     def majorant(self, t) -> np.ndarray:
         """sum d_h e(th) >= |psi - approx| pointwise."""
-        t = np.ravel(np.asarray(t, dtype=np.float64))
-        acc = np.zeros(t.shape)
-        for b in _blocks(t, self.H):
-            a = acc[b]
-            for w, zh in zip(self.d[1:], _powers(t[b], self.H)):
-                a += w * zh.real
-        return self.d[0] + 2.0 * acc
+        return self.d[0] + 2.0 * _series(t, self.d[1:], np.real)
+
+
+def _series(t, weights: np.ndarray, part) -> np.ndarray:
+    """sum_h weights[h-1] * part(e(th)) for h = 1..len(weights), per point of t."""
+    t = np.ravel(np.asarray(t, dtype=np.float64))
+    acc = np.zeros(t.shape)
+    for b in _blocks(t, weights.size):
+        a = acc[b]
+        for w, zh in zip(weights, _powers(t[b], weights.size)):
+            a += w * part(zh)
+    return acc
 
 
 def vaaler_kernel(H: int) -> VaalerKernel:

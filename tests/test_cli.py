@@ -158,14 +158,16 @@ def test_sawtooth_refuses_oversized_kernel_matrix_at_once(capsys):
 
 def test_vaaler_check_refuses_points_x_h_before_building_the_grid():
     # 3*10^7 points x H = 2 is over the guard; building the grid first
-    # would take several hundred MB before the refusal
+    # would take several hundred MB before the refusal.  VmHWM is the child's
+    # own peak; ru_maxrss would carry pytest's peak across fork and exec
     child = (
-        "import resource, time\n"
+        "import time\n"
         "from pslab.cli import main\n"
         "t0 = time.perf_counter()\n"
         "code = main(['sawtooth', 'vaaler-check', '--H', '2', '--grid', '30000000'])\n"
         "took = time.perf_counter() - t0\n"
-        "print(code, took, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, took, hwm.split()[1])\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

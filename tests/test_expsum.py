@@ -180,7 +180,7 @@ def test_eval_sum_blocks_match_rowwise_fsum(ranges):
         MonomialPhase(0.0731, exps, shift=1 / 13), ranges, weights=weights, joint_weight=joint
     )
     assert inst.n_terms() > 3 * BLOCK
-    axes = [inst.variable_values(i).astype(np.float64) for i in range(len(ranges))]
+    axes = [inst.variable_values(i, np.arange(M)) for i, (M, _) in enumerate(ranges)]
     want = _rowwise_fsum(0.0731, exps, 1 / 13, axes, weights, joint)
     # both form the same float phases; each e(phase) is within 1e-15 on either side
     assert abs(eval_sum(inst) - want) <= 2e-15 * inst.n_terms()
@@ -188,11 +188,31 @@ def test_eval_sum_blocks_match_rowwise_fsum(ranges):
 
 @pytest.mark.parametrize(
     "phase",
-    [MonomialPhase(1e300, ((0, 200.0),)), MonomialPhase(1.0, ((0, 1.0),), shift=1e308)],
+    [
+        MonomialPhase(1e300, ((0, 200.0),)),
+        MonomialPhase(1.0, ((0, 1.0),), shift=1e308),
+        # A x^10 overflows before y^-10 would bring it back below 4e302
+        MonomialPhase(1e300, ((0, 10.0), (1, -10.0))),
+    ],
 )
 def test_eval_sum_refuses_a_phase_that_overflows(phase):
     with pytest.raises(ValidationError, match="overflows"):
-        eval_sum(SumInstance(phase, ((10, True),)))
+        eval_sum(SumInstance(phase, ((10, True), (10, True))))
+
+
+@pytest.mark.parametrize("ranges", [((4 * 10**6, False),), ((4 * 10**6, True), (1, False))])
+def test_eval_sum_memory_stays_near_one_block(ranges):
+    import tracemalloc
+
+    inst = SumInstance(MonomialPhase(0.0137, ((0, 1.7),), shift=0.5), ranges)
+    tracemalloc.start()
+    try:
+        eval_sum(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 array over the 4*10^6 points alone would take 32 MB
+    assert peak < 8 * 2**20
 
 
 def test_json_round_trip():
