@@ -4,8 +4,10 @@ Everything here is deterministic: primality uses a fixed strong-probable-
 prime base set that is proven complete below 3.3e24, and the rho cycle
 finder uses the fixed polynomial x^2 + 1 with deterministic restart
 increments, so repeated runs factor every input identically.
-``factor_stream`` factors a whole value array with one vectorized
-trial-division pass and the same rho for the cofactors it must split.
+``factor_stream`` factors a whole value array with one division-free
+trial-division pass; its pq cofactors are split together by a lockstep
+rho on the same x^2 + 1, which hands the rare element it cannot split to
+the scalar rho.
 """
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ from .pscore import CHUNK, integer_root
 SIEVE_LIMIT_GUARD = 10**9
 FACTOR_GUARD = 10**14
 MOBIUS_LIMIT_GUARD = 10**8
-# factor_stream's limit: its cube root, 10^4, ends _SMALL_PRIMES, and it lies
-# below both 2^40 (_mulmod) and 1.122e12 (_MR_BASES)
+# factor_stream's limit: its cube root, 10^4, ends _SMALL_PRIMES; it lies
+# below 2^40, where _mulmod's 20-bit halves stay exact in int64, and below
+# 1.122e12, where _MR_BASES are proven complete
 SQUAREFREE_BULK_MAX = 10**12
 # odd numbers per sieve segment, a 512 KiB bitmap: at 10^7 and 10^8 as fast
 # as 2^20 and faster than 2^18; at 10^9 about 10% behind 2^20 (2 MiB L2/core)
@@ -289,8 +292,9 @@ class FactorStream:
         """P(value) for every value, 1 for the value 1.
 
         Miller-Rabin tells a prime cofactor from pq; only the pq cofactors
-        are split, by the deterministic rho.  A pq cofactor exceeds
-        (bound+1)^2, so the test runs only above it.
+        are split, all at once by the lockstep rho.  A pq cofactor exceeds
+        (bound+1)^2, so the test runs only above it.  Either prime of pq
+        gives the same max(d, pq/d), so the split found does not matter.
         """
         out = self.small_max.astype(np.int64)
         sq = self.square
@@ -299,28 +303,42 @@ class FactorStream:
         r = self.cofactor[idx]
         out[idx] = r
         maybe_pq = np.flatnonzero(r > (self.bound + 1) ** 2)
-        for i in maybe_pq[~_is_sprp_bulk(r[maybe_pq])].tolist():
-            n = int(r[i])
-            d = _rho_split(n)
-            out[idx[i]] = max(d, n // d)
+        pq = maybe_pq[~_is_sprp_bulk(r[maybe_pq])]
+        n = r[pq]
+        d = _rho_split_bulk(n)
+        out[idx[pq]] = np.maximum(d, n // d)
         return out
 
 
 # Jaeschke (Math. Comp. 61, 1993): no composite below 1.122e12 is a strong
-# probable prime to all four bases
+# probable prime to all four of _MR_BASES, and none below 4,759,123,141 to
+# all three of _MR_BASES_SMALL; _is_sprp_bulk takes the smaller set when
+# every n lies below that bound
 _MR_BASES = (2, 13, 23, 1662803)
+_MR_BASES_SMALL = (2, 7, 61)
+_MR_SMALL_BOUND = 4_759_123_141
+# the largest n with (n - 1)^2 < 2^63: up to it a*b % n is exact in int64
+_MULMOD_ONE_STEP_MAX = 3_037_000_499
+# Brent's rho: steps whose |x - y| are multiplied together before one gcd
+_RHO_BATCH = 16
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """a*b mod n elementwise for 0 <= a, b < n < 2^40, exact in int64:
-    b splits into 20-bit halves, so no product reaches 2^61."""
+    """a*b mod n elementwise for 0 <= a, b < n < 2^40, exact in int64.
+
+    One step, a*b % n, when n.max() <= _MULMOD_ONE_STEP_MAX; above it b
+    splits into 20-bit halves, so no product reaches 2^61."""
+    if n.max(initial=0) <= _MULMOD_ONE_STEP_MAX:
+        return a * b % n
     hi = (a * (b >> 20)) % n
     return ((hi << 20) + a * (b & 0xFFFFF)) % n
 
 
 def _is_sprp_bulk(n: np.ndarray) -> np.ndarray:
     """Primality of int64 n with 4 < n < 2^40 by strong probable-prime
-    tests to _MR_BASES (an even n fails base 2); deterministic below 1.122e12."""
+    tests (an even n fails base 2): to _MR_BASES_SMALL when n.max() <
+    4,759,123,141, else to _MR_BASES; deterministic below 1.122e12."""
+    bases = _MR_BASES_SMALL if n.max(initial=0) < _MR_SMALL_BOUND else _MR_BASES
     d = n - 1
     s = np.zeros(n.shape, dtype=np.int64)
     while True:
@@ -330,28 +348,73 @@ def _is_sprp_bulk(n: np.ndarray) -> np.ndarray:
         d = np.where(even, d >> 1, d)
         s += even
     ok = np.ones(n.shape, dtype=bool)
-    for a in _MR_BASES:
-        b = a % n
+    for a in bases:
+        live = np.flatnonzero(ok)  # a base runs only on the n that passed the ones before
+        m, e, t = n[live], d[live], s[live]
+        b = a % m
         divides_base = b == 0
-        x = np.ones_like(n)
-        e = d.copy()
+        x = np.ones_like(m)
         while e.any():
-            x = np.where(e & 1, _mulmod(x, b, n), x)
-            b = _mulmod(b, b, n)
-            e >>= 1
-        passed = divides_base | (x == 1) | (x == n - 1)
-        for k in range(1, int(s.max(initial=0))):
-            x = _mulmod(x, x, n)
-            passed |= (k < s) & (x == n - 1)
-        ok &= passed
+            x = np.where((e & 1) == 1, _mulmod(x, b, m), x)
+            b = _mulmod(b, b, m)
+            e = e >> 1
+        passed = divides_base | (x == 1) | (x == m - 1)
+        for k in range(1, int(t.max(initial=0))):
+            x = _mulmod(x, x, m)
+            passed |= (k < t) & (x == m - 1)
+        ok[live] = passed
     return ok
+
+
+def _rho_split_bulk(n: np.ndarray) -> np.ndarray:
+    """A nontrivial factor of each composite int64 n < 2^40 that is not a
+    prime power.
+
+    Brent's rho on x^2 + 1 from 2 runs on every n in lockstep: all follow
+    one schedule, and each batch of _RHO_BATCH products |x - y| ends in one
+    np.gcd, after which the split n drop out.  An n whose gcd reaches n
+    itself (both cycles closed in one batch, or n even) goes to the scalar
+    _rho_split.
+    """
+    d = n.copy()
+    live = np.arange(n.size)
+    m = n.copy()
+    y = np.full(n.shape, 2, dtype=np.int64)
+    q = np.ones_like(n)
+    r = 1
+    while live.size:
+        x = y
+        for _ in range(r):
+            y = _mulmod(y, y, m) + 1
+            y[y == m] = 0
+        k = 0
+        while k < r and live.size:
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = _mulmod(y, y, m) + 1
+                y[y == m] = 0
+                q = _mulmod(q, np.abs(x - y), m)
+            g = np.gcd(q, m)
+            done = g > 1
+            d[live[done]] = g[done]
+            keep = ~done
+            live, m, x, y, q = live[keep], m[keep], x[keep], y[keep], q[keep]
+            k += _RHO_BATCH
+        r *= 2
+    for i in np.flatnonzero(d == n).tolist():
+        d[i] = _rho_split(int(n[i]))
+    return d
 
 
 def factor_stream(values: np.ndarray) -> FactorStream:
     """Exact FactorStream of int64 values in [1, SQUAREFREE_BULK_MAX].
 
-    One floor-divide pass per prime up to cbrt(max) finds the values it
-    divides; the p^2 test and the full divide-out touch only those.
+    One division-free pass over CHUNK slices of the values, held as
+    unsigned w-bit words (w = 32 when the largest value fits, else 64):
+    odd p divides u exactly when u * inv(p) mod 2^w <= (2^w - 1) // p,
+    with inv(p) the inverse of p mod 2^w (Granlund and Montgomery, PLDI
+    1994, section 9), and then that product is the exact quotient u/p,
+    which the p^2 test and the divide-out reuse.  The power of 2 dividing
+    u is its lowest set bit, shifted out at once.
     """
     v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 1:
@@ -361,32 +424,51 @@ def factor_stream(values: np.ndarray) -> FactorStream:
     bound = integer_root(v_max, 3)
     primes = _SMALL_PRIMES[: int(np.searchsorted(_SMALL_PRIMES, bound, side="right"))]
 
-    # int32 halves the cost of the pass whenever the values fit
-    r = v.astype(np.int32 if v_max < 2**31 else np.int64)
-    q = np.empty_like(r)
-    hit = np.empty(r.shape, dtype=bool)
-    squarefree = np.ones(r.shape, dtype=bool)
-    small_max = np.ones(r.shape, dtype=np.int16)  # the primes end below 2^15
+    word = np.uint32 if v_max < 2**32 else np.uint64
+    top = (1 << np.iinfo(word).bits) - 1
+    # (index in primes, p, inv(p), (2^w - 1) // p) per odd prime
+    odd = [(i, p, word(pow(p, -1, top + 1)), word(top // p))
+           for i, p in enumerate(primes.tolist()) if p > 2]
+    has_two = bool(primes.size)  # primes, when any, start at 2
+    cofactor = np.empty(v.shape, dtype=np.int64)
+    squarefree = np.ones(v.shape, dtype=bool)
+    small_max = np.ones(v.shape, dtype=np.int16)  # the primes end below 2^15
     hits = np.zeros(primes.size, dtype=np.int64)
-    for i, p in enumerate(primes.tolist()):
-        np.floor_divide(r, p, out=q)
-        np.multiply(q, p, out=q)
-        np.equal(q, r, out=hit)
-        idx = np.flatnonzero(hit)
-        if idx.size == 0:
-            continue
-        hits[i] = idx.size
-        small_max[idx] = p
-        sub = r[idx] // p
-        again = np.flatnonzero(sub % p == 0)
-        squarefree[idx[again]] = False
-        while again.size:
-            sub[again] //= p
-            again = again[sub[again] % p == 0]
-        r[idx] = sub
-    del q, hit
+    prod_buf = np.empty(min(CHUNK, v.size), dtype=word)
+    hit_buf = np.empty(prod_buf.shape, dtype=bool)
+    for lo in range(0, v.size, CHUNK):
+        r = v[lo : lo + CHUNK].astype(word)
+        sf, sm = squarefree[lo : lo + CHUNK], small_max[lo : lo + CHUNK]
+        prod, hit = prod_buf[: r.size], hit_buf[: r.size]
+        if has_two:
+            low = r & (~r + 1)
+            even = low > 1
+            hits[0] += np.count_nonzero(even)
+            sm[even] = 2
+            sf[low > 2] = False
+            r >>= np.bitwise_count(low - 1)
+        for i, p, inv, lim in odd:
+            np.multiply(r, inv, out=prod)
+            np.less_equal(prod, lim, out=hit)
+            idx = np.flatnonzero(hit)
+            if idx.size == 0:
+                continue
+            hits[i] += idx.size
+            sm[idx] = p
+            sub = prod[idx]  # u/p
+            quot = sub * inv
+            again = np.flatnonzero(quot <= lim)
+            sf[idx[again]] = False
+            quot = quot[again]
+            while again.size:
+                sub[again] = quot  # u/p^k, and quot * inv tests p^(k+1)
+                quot = quot * inv
+                keep = quot <= lim
+                again, quot = again[keep], quot[keep]
+            r[idx] = sub
+        cofactor[lo : lo + r.size] = r
 
-    r = r.astype(np.int64)
+    r = cofactor
     root = np.sqrt(r).astype(np.int64)
     root += (root + 1) ** 2 <= r
     root -= root * root > r

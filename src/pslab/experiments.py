@@ -35,6 +35,9 @@ POWER_BAND = 2.0**-30
 CONVOLUTION_K_GUARD = 5 * 10**4
 CONVOLUTION_LOOKUP_GUARD = 2 * 10**7
 CONVOLUTION_EPS = 0.01  # the dyadic box: K = x^(c-1+6 eps), L = x^(1-6 eps)/5
+# square_divisor_sum's work: one remainder per value and d, x*D in all;
+# 2*10^9 is x = 10^6 at D = 2000, about 12 s
+SQUARE_DIVISOR_WORK_GUARD = 2 * 10**9
 Exponent = Union[float, Fraction]
 
 
@@ -203,6 +206,7 @@ def square_divisor_sum(
     e = Fraction(c.p, c.q)
     if exceeds(D, x, e / 2):
         raise ValidationError(f"D={D} exceeds x^(c/2)")
+    check_range(x * D, 1, SQUARE_DIVISOR_WORK_GUARD, "square-divisor work", name="x*D")
     if exceeds(D, x, 2 - e):
         warnings.warn("D beyond x^(2-c): outside the proven main-term range")
     ds = np.arange(D + 1, 2 * D + 1, dtype=np.int64)

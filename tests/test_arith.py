@@ -243,6 +243,89 @@ def test_log_sum_equals_one_list_fsum():
     assert fs.log_sum == math.fsum(terms + np.log(r[r > 1].astype(np.float64)).tolist())
 
 
+def _stream_near(top, seed):
+    """More than two CHUNKs of values up to top (top itself included), with
+    prime powers mixed in so the p^2 test and the divide-out run."""
+    from pslab.pscore import CHUNK
+
+    rng = np.random.default_rng(seed)
+    size = 2 * CHUNK + 4321
+    mults = np.array([1, 2, 4, 3, 8, 9, 25, 49, 2**12, 3**7, 1331, 1021**2, 1601 * 1607])
+    m = mults[rng.integers(0, mults.size, size)]
+    vals = rng.integers(1, top // m + 1) * m
+    vals[rng.integers(0, size, 50)] = top - rng.integers(0, 1000, 50)
+    vals[-1] = top
+    return vals.astype(np.int64)
+
+
+@pytest.mark.parametrize("top", [2**32 - 1, 2**32 + 15])  # the two word widths
+def test_factor_stream_blocks_at_both_widths(top):
+    vals = _stream_near(top, seed=top % 1000)
+    fs = factor_stream(vals)
+    assert fs.bound == 1625  # 1625^3 <= top < 1626^3 for both tops
+    assert fs.primes.tolist() == [int(p) for p in _simple_sieve(fs.bound)]
+    assert fs.hits.tolist() == [int(np.count_nonzero(vals % p == 0)) for p in fs.primes.tolist()]
+    P = fs.largest_prime()
+    sample = np.random.default_rng(7).choice(vals.size, 2000, replace=False)
+    for i in [*sample.tolist(), vals.size - 1]:
+        entries = factorize(int(vals[i])).entries
+        small = [(p, e) for p, e in entries if p <= fs.bound]
+        cofactor = int(vals[i]) // math.prod(p**e for p, e in small)
+        assert fs.small_max[i] == (small[-1][0] if small else 1)
+        assert fs.cofactor[i] == cofactor
+        assert fs.root[i] == math.isqrt(cofactor)
+        assert fs.squarefree[i] == all(e == 1 for _, e in entries)
+        assert P[i] == (entries[-1][0] if entries else 1)
+
+
+@pytest.mark.parametrize("top", [4_759_123_140, 4_759_123_141, 4_759_123_142])
+def test_is_sprp_bulk_on_both_base_sets(top):
+    from pslab.arith import _is_sprp_bulk
+
+    rng = np.random.default_rng(top)
+    # strong pseudoprimes to base 2 (with further bases for the larger ones),
+    # Carmichael numbers, a prime square and the primes nearest the top
+    hard = [2047, 1373653, 25326001, 3215031751, 2152302898747 % top, 561, 41041,
+            1000003**2 % top, 4759123129, 4759123099, 4759123141 % top]
+    vals = [*rng.integers(5, top, 3000).tolist(), *hard, top]
+    n = np.array([v for v in vals if v > 4], dtype=np.int64)
+    assert _is_sprp_bulk(n).tolist() == [is_prime(int(v)) for v in n]
+
+
+# one step; 20-bit halves; halves where (n - 1)^2 already overflows int64
+@pytest.mark.parametrize("n", [3_037_000_499, 3_037_000_500, 3_037_000_501])
+def test_mulmod_at_the_one_step_limit(n):
+    from pslab.arith import _mulmod
+
+    rng = np.random.default_rng(n)
+    a = [n - 1, n - 2, n - 1, 0, 1, *rng.integers(0, n, 500).tolist()]
+    b = [n - 1, n - 1, n - 2, n - 1, n - 1, *rng.integers(0, n, 500).tolist()]
+    got = _mulmod(np.array(a), np.array(b), np.full(len(a), n))
+    assert got.tolist() == [x * y % n for x, y in zip(a, b)]
+
+
+# primes below 55000 keep p*q under 3037000499, the one-step mulmod; primes
+# up to 10^6 reach 10^12, where mulmod works in 20-bit halves
+@pytest.mark.parametrize("hi", [55_000, 10**6])
+def test_largest_prime_of_semiprimes(hi):
+    ps = primes_up_to(hi).primes
+    ps = ps[ps > 10**4]
+    rng = np.random.default_rng(hi)
+    n = ps[rng.integers(0, ps.size, 2000)] * ps[rng.integers(0, ps.size, 2000)]
+    assert (n.max() > 3_037_000_499) == (hi > 55_000)
+    got = factor_stream(n).largest_prime()
+    assert got.tolist() == [factorize(int(v)).max_prime() for v in n]
+
+
+def test_rho_split_bulk_gives_proper_factors():
+    from pslab.arith import _rho_split_bulk
+
+    # odd semiprimes, an even composite and prime squares times a prime
+    n = np.array([10007 * 10009, 999983 * 1000003, 6, 10, 15, 1021**2 * 1031, 3 * 5 * 7], dtype=np.int64)
+    d = _rho_split_bulk(n)
+    assert all(1 < x < v and v % x == 0 for x, v in zip(d.tolist(), n.tolist()))
+
+
 def test_mobius_values():
     mu = mobius_up_to(100)
     assert mu[1] == 1 and mu[2] == -1 and mu[4] == 0 and mu[30] == -1

@@ -332,6 +332,15 @@ def test_bound_checks_refuse_at_once_for_large_exponent_terms(c):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_square_divisor_work_guard_refuses_before_allocating():
+    # at c = 7/2, D = 10^9 lies below x^(c/2) = 10^10.5; x*D = 10^15 is refused
+    # before the D-element arrays are built
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError):
+        square_divisor_sum(10**6, ExponentC(7, 2), 10**9, np.ones_like)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_bound_checks_refuse_values_beyond_float_range():
     with pytest.raises(ValidationError):
         square_divisor_sum(10**6, C32, 10**400, np.ones_like)
