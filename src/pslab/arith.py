@@ -347,22 +347,24 @@ def _is_sprp_bulk(n: np.ndarray) -> np.ndarray:
             break
         d = np.where(even, d >> 1, d)
         s += even
-    ok = np.ones(n.shape, dtype=bool)
+    live, m = np.arange(n.size), n
     for a in bases:
-        live = np.flatnonzero(ok)  # a base runs only on the n that passed the ones before
-        m, e, t = n[live], d[live], s[live]
         b = a % m
         divides_base = b == 0
         x = np.ones_like(m)
+        e = d
         while e.any():
             x = np.where((e & 1) == 1, _mulmod(x, b, m), x)
             b = _mulmod(b, b, m)
             e = e >> 1
         passed = divides_base | (x == 1) | (x == m - 1)
-        for k in range(1, int(t.max(initial=0))):
+        for k in range(1, int(s.max(initial=0))):
             x = _mulmod(x, x, m)
-            passed |= (k < t) & (x == m - 1)
-        ok[live] = passed
+            passed |= (k < s) & (x == m - 1)
+        # the next base runs only on the n that passed this one
+        live, m, d, s = live[passed], m[passed], d[passed], s[passed]
+    ok = np.zeros(n.shape, dtype=bool)
+    ok[live] = True
     return ok
 
 
@@ -431,6 +433,7 @@ def factor_stream(values: np.ndarray) -> FactorStream:
            for i, p in enumerate(primes.tolist()) if p > 2]
     has_two = bool(primes.size)  # primes, when any, start at 2
     cofactor = np.empty(v.shape, dtype=np.int64)
+    roots = np.empty(v.shape, dtype=np.int64)
     squarefree = np.ones(v.shape, dtype=bool)
     small_max = np.ones(v.shape, dtype=np.int16)  # the primes end below 2^15
     hits = np.zeros(primes.size, dtype=np.int64)
@@ -466,14 +469,13 @@ def factor_stream(values: np.ndarray) -> FactorStream:
                 keep = quot <= lim
                 again, quot = again[keep], quot[keep]
             r[idx] = sub
-        cofactor[lo : lo + r.size] = r
-
-    r = cofactor
-    root = np.sqrt(r).astype(np.int64)
-    root += (root + 1) ** 2 <= r
-    root -= root * root > r
-    squarefree &= (r == 1) | (root * root != r)
-    return FactorStream(bound, primes, hits, small_max, r, root, squarefree)
+        r = r.astype(np.int64)
+        root = np.sqrt(r).astype(np.int64)
+        root += (root + 1) ** 2 <= r
+        root -= root * root > r
+        sf &= (r == 1) | (root * root != r)
+        cofactor[lo : lo + r.size], roots[lo : lo + r.size] = r, root
+    return FactorStream(bound, primes, hits, small_max, cofactor, roots, squarefree)
 
 
 def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:
