@@ -375,12 +375,11 @@ def _rho_split_bulk(n: np.ndarray) -> np.ndarray:
     Brent's rho on x^2 + 1 from 2 runs on every n in lockstep: all follow
     one schedule, and each batch of _RHO_BATCH products |x - y| ends in one
     np.gcd, after which the split n drop out.  An n whose gcd reaches n
-    itself (both cycles closed in one batch, or n even) goes to the scalar
-    _rho_split.
+    itself goes to the scalar _rho_split, which backtracks and, if need
+    be, changes the polynomial.
     """
     d = n.copy()
-    live = np.arange(n.size)
-    m = n.copy()
+    live, m = np.arange(n.size), n
     y = np.full(n.shape, 2, dtype=np.int64)
     q = np.ones_like(n)
     r = 1

@@ -283,12 +283,13 @@ def test_is_sprp_bulk_on_both_base_sets(top):
     from pslab.arith import _is_sprp_bulk
 
     rng = np.random.default_rng(top)
-    # strong pseudoprimes to base 2 (with further bases for the larger ones),
-    # Carmichael numbers, a prime square and the primes nearest the top
-    hard = [2047, 1373653, 25326001, 3215031751, 2152302898747 % top, 561, 41041,
-            1000003**2 % top, 4759123129, 4759123099, 4759123141 % top]
+    # strong pseudoprimes to base 2 (3215031751 also to 3, 5 and 7;
+    # 4759123141 to 2, 7 and 61), Carmichael numbers, a prime square and the
+    # two primes below 4759123141
+    hard = [2047, 1373653, 25326001, 3215031751, 4759123141, 561, 41041,
+            65537**2, 4759123129, 4759123121]
     vals = [*rng.integers(5, top, 3000).tolist(), *hard, top]
-    n = np.array([v for v in vals if v > 4], dtype=np.int64)
+    n = np.array([v for v in vals if v <= top], dtype=np.int64)
     assert _is_sprp_bulk(n).tolist() == [is_prime(int(v)) for v in n]
 
 
