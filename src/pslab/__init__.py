@@ -51,7 +51,6 @@ from .exppairs import (
     square_divisibility_threshold,
 )
 from .expsum import (
-    BoundReport,
     MonomialPhase,
     SumInstance,
     balance_terms,

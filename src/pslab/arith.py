@@ -4,21 +4,20 @@ Everything here is deterministic: primality uses a fixed strong-probable-
 prime base set that is proven complete below 3.3e24, and the rho cycle
 finder uses the fixed polynomial x^2 + 1 with deterministic restart
 increments, so repeated runs factor every input identically.
-``factor_stream`` factors a whole value array with one division-free
-trial-division pass; its pq cofactors are split together by a lockstep
-rho on the same x^2 + 1, which hands the rare element it cannot split to
-the scalar rho.
+``factor_stream`` factors a value array as given, in one division-free
+trial-division pass; the harnesses hand it one value block at a time.  Its
+pq cofactors are split together by a lockstep rho on the same x^2 + 1,
+which hands the rare element it cannot split to the scalar rho.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import fsum, gcd, isqrt, log, prod
 
 import numpy as np
 
 from .errors import GuardError, ValidationError, check_range
-from .pscore import CHUNK, integer_root
+from .pscore import integer_root
 
 SIEVE_LIMIT_GUARD = 10**9
 FACTOR_GUARD = 10**14
@@ -274,19 +273,22 @@ class FactorStream:
         """Cofactors of the form p^2."""
         return (self.cofactor > 1) & (self.root * self.root == self.cofactor)
 
+    def log_terms(self) -> list[float]:
+        """The terms whose sum is log_sum: hits * log p for each prime up to
+        the bound that divides a value, then log r, or log sqrt(r) when
+        r = p^2, for each cofactor r > 1, so no cofactor is split.  A caller
+        that factors block by block feeds every block's terms to one
+        math.fsum, which is correctly rounded and so independent of order."""
+        r = np.where(self.square, self.root, self.cofactor)
+        terms = [h * log(p) for p, h in zip(self.primes.tolist(), self.hits.tolist()) if h]
+        terms += np.log(r[r > 1].astype(np.float64)).tolist()
+        return terms
+
     @property
     def log_sum(self) -> float:
-        """sum over values of log p over the distinct primes p | value.
-
-        A cofactor contributes log r, or log sqrt(r) when r = p^2, so none
-        is split; math.fsum makes the total independent of order, so the
-        cofactor logs are fed to it one CHUNK at a time, never as one list.
-        """
-        r = np.where(self.square, self.root, self.cofactor)
-        r = r[r > 1].astype(np.float64)
-        terms = [h * log(p) for p, h in zip(self.primes.tolist(), self.hits.tolist()) if h]
-        cofactors = (np.log(r[lo : lo + CHUNK]).tolist() for lo in range(0, r.size, CHUNK))
-        return fsum(chain(terms, chain.from_iterable(cofactors)))
+        """sum over values of log p over the distinct primes p | value: one
+        math.fsum of log_terms()."""
+        return fsum(self.log_terms())
 
     def largest_prime(self) -> np.ndarray:
         """P(value) for every value, 1 for the value 1.
@@ -409,13 +411,15 @@ def _rho_split_bulk(n: np.ndarray) -> np.ndarray:
 def factor_stream(values: np.ndarray) -> FactorStream:
     """Exact FactorStream of int64 values in [1, SQUAREFREE_BULK_MAX].
 
-    One division-free pass over CHUNK slices of the values, held as
-    unsigned w-bit words (w = 32 when the largest value fits, else 64):
-    odd p divides u exactly when u * inv(p) mod 2^w <= (2^w - 1) // p,
-    with inv(p) the inverse of p mod 2^w (Granlund and Montgomery, PLDI
-    1994, section 9), and then that product is the exact quotient u/p,
-    which the p^2 test and the divide-out reuse.  The power of 2 dividing
-    u is its lowest set bit, shifted out at once.
+    The bound is the cube root of the largest of these values, so a block
+    of small values is divided by fewer primes.  One division-free pass
+    over the values, held as unsigned w-bit words (w = 32 when the largest
+    value fits, else 64): odd p divides u exactly when
+    u * inv(p) mod 2^w <= (2^w - 1) // p, with inv(p) the inverse of p mod
+    2^w (Granlund and Montgomery, PLDI 1994, section 9), and then that
+    product is the exact quotient u/p, which the p^2 test and the
+    divide-out reuse.  The power of 2 dividing u is its lowest set bit,
+    shifted out at once.
     """
     v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 1:
@@ -427,54 +431,44 @@ def factor_stream(values: np.ndarray) -> FactorStream:
 
     word = np.uint32 if v_max < 2**32 else np.uint64
     top = (1 << np.iinfo(word).bits) - 1
-    # (index in primes, p, inv(p), (2^w - 1) // p) per odd prime
-    odd = [(i, p, word(pow(p, -1, top + 1)), word(top // p))
-           for i, p in enumerate(primes.tolist()) if p > 2]
-    has_two = bool(primes.size)  # primes, when any, start at 2
-    cofactor = np.empty(v.shape, dtype=np.int64)
-    roots = np.empty(v.shape, dtype=np.int64)
+    r = v.astype(word)
     squarefree = np.ones(v.shape, dtype=bool)
     small_max = np.ones(v.shape, dtype=np.int16)  # the primes end below 2^15
     hits = np.zeros(primes.size, dtype=np.int64)
-    prod_buf = np.empty(min(CHUNK, v.size), dtype=word)
-    hit_buf = np.empty(prod_buf.shape, dtype=bool)
-    for lo in range(0, v.size, CHUNK):
-        r = v[lo : lo + CHUNK].astype(word)
-        sf, sm = squarefree[lo : lo + CHUNK], small_max[lo : lo + CHUNK]
-        prod, hit = prod_buf[: r.size], hit_buf[: r.size]
-        if has_two:
-            low = r & (~r + 1)
-            even = low > 1
-            hits[0] += np.count_nonzero(even)
-            sm[even] = 2
-            sf[low > 2] = False
-            r >>= np.bitwise_count(low - 1)
-        for i, p, inv, lim in odd:
-            np.multiply(r, inv, out=prod)
-            np.less_equal(prod, lim, out=hit)
-            idx = np.flatnonzero(hit)
-            if idx.size == 0:
-                continue
-            hits[i] += idx.size
-            sm[idx] = p
-            sub = prod[idx]  # u/p
-            quot = sub * inv
-            again = np.flatnonzero(quot <= lim)
-            sf[idx[again]] = False
-            quot = quot[again]
-            while again.size:
-                sub[again] = quot  # u/p^k, and quot * inv tests p^(k+1)
-                quot = quot * inv
-                keep = quot <= lim
-                again, quot = again[keep], quot[keep]
-            r[idx] = sub
-        r = r.astype(np.int64)
-        root = np.sqrt(r).astype(np.int64)
-        root += (root + 1) ** 2 <= r
-        root -= root * root > r
-        sf &= (r == 1) | (root * root != r)
-        cofactor[lo : lo + r.size], roots[lo : lo + r.size] = r, root
-    return FactorStream(bound, primes, hits, small_max, cofactor, roots, squarefree)
+    if primes.size:  # primes, when any, start at 2
+        low = r & (~r + 1)
+        even = low > 1
+        hits[0] = np.count_nonzero(even)
+        small_max[even] = 2
+        squarefree[low > 2] = False
+        r >>= np.bitwise_count(low - 1)
+    prod, hit = np.empty_like(r), np.empty(r.shape, dtype=bool)
+    for i, p in enumerate(primes[1:].tolist(), 1):
+        inv, lim = word(pow(p, -1, top + 1)), word(top // p)
+        np.multiply(r, inv, out=prod)
+        np.less_equal(prod, lim, out=hit)
+        idx = np.flatnonzero(hit)
+        if idx.size == 0:
+            continue
+        hits[i] = idx.size
+        small_max[idx] = p
+        sub = prod[idx]  # u/p
+        quot = sub * inv
+        again = np.flatnonzero(quot <= lim)
+        squarefree[idx[again]] = False
+        quot = quot[again]
+        while again.size:
+            sub[again] = quot  # u/p^k, and quot * inv tests p^(k+1)
+            quot = quot * inv
+            keep = quot <= lim
+            again, quot = again[keep], quot[keep]
+        r[idx] = sub
+    cofactor = r.astype(np.int64)
+    root = np.sqrt(cofactor).astype(np.int64)
+    root += (root + 1) ** 2 <= cofactor
+    root -= root * root > cofactor
+    squarefree &= (cofactor == 1) | (root * root != cofactor)
+    return FactorStream(bound, primes, hits, small_max, cofactor, root, squarefree)
 
 
 def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -191,19 +191,6 @@ class SumInstance:
         return cls(phase=MonomialPhase(A, exponents, shift), ranges=ranges, seed=seed)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """|S| measured against a closed-form bound."""
-
-    observed: float
-    bound: float
-    meta: str = ""
-    ratio: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", self.observed / self.bound if self.bound > 0 else math.inf)
-
-
 def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
     """Direct float64 summation of sum a*b*e(phase) over the instance ranges.
 
@@ -306,11 +293,6 @@ def _bounded(w) -> np.ndarray:
     if w.size and float(np.max(np.abs(w))) > 1.0 + 1e-12:
         raise ValidationError("weight callbacks must stay bounded by 1")
     return w
-
-
-def ratio_report(instance: SumInstance, bound: float, meta: str = "") -> BoundReport:
-    """Evaluate |S| for the instance and package it against a bound."""
-    return BoundReport(abs(eval_sum(instance)), bound, meta)
 
 
 # ---------------------------------------------------------------------------

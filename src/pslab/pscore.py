@@ -195,7 +195,8 @@ def is_ps_value(k: int, c: ExponentC) -> PsWitness:
 def ps_values_in(lo: int, hi: int, c: ExponentC) -> Iterator[PsWitness]:
     """Stream the values of the sequence inside [lo, hi], in increasing order,
     from the preimage floor(lo^(1/c)), whose value is at most lo; floor(n^c)
-    strictly increases with n.  Unlike ps_value_chunks it serves any size.
+    strictly increases with n.  Unlike value_blocks it takes a range of
+    values, not of preimages.
     """
     if lo < 1 or hi < lo:
         raise ValidationError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -240,7 +241,7 @@ def count_decomposition(
         correction.append(float(np.sum(w * (psi(-((ks + 1.0) ** gamma)) - psi(-(ks**gamma))))))
     exact = fsum(
         float(np.sum(np.asarray(z(vals.astype(np.float64)), dtype=np.float64)))
-        for vals in ps_value_chunks(K, c)
+        for vals in value_blocks(1, last_preimage(K, c), c)
     )
     return gamma * fsum(main), fsum(correction), exact
 
@@ -299,11 +300,16 @@ def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return sorted_vals[idx] == xs
 
 
-def ps_value_chunks(X: int, c: ExponentC) -> Iterator[np.ndarray]:
-    """The values floor(n^c) <= X in increasing order, one array per 2^16
-    consecutive preimages n = 1, 2, ...; the last preimage is floor(X^(1/c)),
-    or one more when its successor's value is X, so none is missed."""
-    n_max = _floor_pow(X, c.q, c.p)
-    n_max += _floor_pow(n_max + 1, c.p, c.q) <= X
-    for lo in range(1, n_max + 1, CHUNK):
-        yield floor_pow_bulk(np.arange(lo, min(lo + CHUNK, n_max + 1), dtype=np.int64), c)
+def value_blocks(lo: int, hi: int, c: ExponentC) -> Iterator[np.ndarray]:
+    """floor(n^c) for n = lo..hi in increasing order, exact: one
+    floor_pow_bulk array per CHUNK consecutive preimages, so a harness that
+    reduces block by block holds one block of values at a time."""
+    for start in range(lo, hi + 1, CHUNK):
+        yield floor_pow_bulk(np.arange(start, min(start + CHUNK, hi + 1), dtype=np.int64), c)
+
+
+def last_preimage(X: int, c: ExponentC) -> int:
+    """The largest n with floor(n^c) <= X: floor(X^(1/c)), or one more when
+    its successor's value is X."""
+    n = _floor_pow(X, c.q, c.p)
+    return n + (_floor_pow(n + 1, c.p, c.q) <= X)

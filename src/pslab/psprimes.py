@@ -15,7 +15,7 @@ import numpy as np
 
 from .arith import euler_phi, primes_up_to
 from .errors import RouteDisagreementError, ValidationError, check_range
-from .pscore import CHUNK, ExponentC, in_sorted, is_ps_value, ps_value_chunks
+from .pscore import CHUNK, ExponentC, in_sorted, is_ps_value, last_preimage, value_blocks
 
 X_GUARD = 10**9
 ROUTE_TOLERANCE = 1e-9
@@ -81,10 +81,8 @@ def _ps_prime_mask_cached(x: int, p: int, q: int) -> np.ndarray:
     primes = primes_up_to(x).primes
     if primes.size == 0:
         return primes
-    found = []
-    for vals in ps_value_chunks(x, c):
-        found.append(vals[in_sorted(primes, vals)])
-    ps = np.concatenate(found)
+    blocks = value_blocks(1, last_preimage(x, c), c)
+    ps = np.concatenate([vals[in_sorted(primes, vals)] for vals in blocks])
     for k in primes[np.unique(np.linspace(0, primes.size - 1, WITNESS_SAMPLES).astype(np.int64))]:
         k, i = int(k), int(np.searchsorted(ps, k))
         generated = i < ps.size and int(ps[i]) == k

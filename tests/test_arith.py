@@ -234,7 +234,8 @@ def test_factor_stream_refuses_out_of_range_values():
 def test_log_sum_equals_one_list_fsum():
     from pslab.pscore import CHUNK
 
-    # more cofactors above 1 than one CHUNK, so log_sum feeds fsum in pieces
+    # more cofactors above 1 than one CHUNK: log_sum is one fsum of all of
+    # log_terms()
     vals = np.arange(10**6, 10**6 + 3 * CHUNK, dtype=np.int64) ** 2 // 7 + 1
     fs = factor_stream(vals)
     r = np.where(fs.square, fs.root, fs.cofactor)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -457,3 +458,23 @@ def test_convolution_count_refuses_work_beyond_its_guard_at_once(x, c):
     with pytest.raises(GuardError, match="guard"):
         convolution_count(x, c, np.ones_like)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "harness",
+    [
+        lambda: squarefree_density(10**6, C32),
+        lambda: chebyshev_sum(10**6, ExponentC(8, 7)),
+        lambda: residue_equidistribution(10**6, C1710, 7, 1),
+    ],
+    ids=["squarefree", "chebyshev", "residue"],
+)
+def test_value_harnesses_hold_one_block_of_values_at_a_time(harness):
+    # the 10^6 values alone take 8 MB as int64; a block of CHUNK takes 0.5 MB
+    tracemalloc.start()
+    try:
+        harness()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

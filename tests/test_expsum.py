@@ -374,15 +374,3 @@ def test_balance_terms_rejects_empty():
         balance_terms([], [(1.0, 1.0)], 10.0)
     with pytest.raises(ValidationError):
         balance_terms([(1.0, 1.0)], [], 10.0)
-
-
-def test_ratio_report_type():
-    from pslab.expsum import ratio_report
-
-    inst = SumInstance(MonomialPhase(1 / 5, ((0, 2.0),)), ((5, False),))
-    rep = ratio_report(inst, bound=5.0, meta="gauss")
-    assert rep.observed == pytest.approx(math.sqrt(5.0))
-    assert rep.ratio == pytest.approx(math.sqrt(5.0) / 5.0)
-    assert rep.meta == "gauss"
-    degenerate = ratio_report(inst, bound=0.0)
-    assert math.isinf(degenerate.ratio)

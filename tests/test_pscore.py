@@ -175,6 +175,32 @@ def test_floor_pow_bulk_big_value_fallback():
     assert int(bulk[0]) == floor_pow(10**6, c)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    c=st.sampled_from(C_CORPUS),
+    lo=st.integers(1, 10**6),
+    length=st.sampled_from([1, pscore.CHUNK - 1, pscore.CHUNK, pscore.CHUNK + 1, 2 * pscore.CHUNK + 3]),
+    data=st.data(),
+)
+def test_value_blocks_are_full_chunks_of_exact_values(c, lo, length, data):
+    blocks = list(pscore.value_blocks(lo, lo + length - 1, c))
+    assert [b.size for b in blocks[:-1]] == [pscore.CHUNK] * (len(blocks) - 1)
+    assert 1 <= blocks[-1].size <= pscore.CHUNK
+    vals = np.concatenate(blocks)
+    assert vals.size == length and bool(np.all(np.diff(vals) > 0))
+    sample = data.draw(st.lists(st.integers(0, length - 1), max_size=20))
+    for i in [0, length - 1, *sample]:
+        assert int(vals[i]) == floor_pow(lo + i, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.sampled_from(C_CORPUS), m=st.integers(2, 10**6), offset=st.sampled_from([-1, 0, 1]))
+def test_last_preimage_brackets_its_bound(c, m, offset):
+    X = floor_pow(m, c) + offset
+    n = pscore.last_preimage(X, c)
+    assert floor_pow(n, c) <= X < floor_pow(n + 1, c)
+
+
 C_BULK = [ExponentC(*pq) for pq in [(3, 2), (21, 20), (5, 2), (1001, 1000), (41, 2)]]
 
 

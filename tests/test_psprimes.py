@@ -176,13 +176,13 @@ def test_ps_primes_match_witness_filter_at_value_boundaries(data):
 
 
 def test_dropped_member_is_a_route_disagreement(monkeypatch):
-    generate = psprimes.ps_value_chunks
+    generate = psprimes.value_blocks
 
-    def without_two(X, c):  # 2 = floor(2^(3/2)) is the first prime, always sampled
-        for vals in generate(X, c):
+    def without_two(lo, hi, c):  # 2 = floor(2^(3/2)) is the first prime, always sampled
+        for vals in generate(lo, hi, c):
             yield vals[vals != 2]
 
-    monkeypatch.setattr(psprimes, "ps_value_chunks", without_two)
+    monkeypatch.setattr(psprimes, "value_blocks", without_two)
     psprimes._ps_prime_mask_cached.cache_clear()
     try:
         with pytest.raises(RouteDisagreementError):

@@ -1,8 +1,9 @@
 """One path per job: the package keeps a single thread pool, a single chunk
 constant, no smallest-prime-factor table route, one vectorized route in
-floor_pow_bulk, one sorted-array membership lookup, one sieve route, one
-exact rational power in pscore, one e(x), and reports built once; nothing
-is read from the environment and the command line has no root options."""
+floor_pow_bulk, one value generator, one sorted-array membership lookup,
+one sieve route, one exact rational power in pscore, one e(x), and reports
+built once; nothing is read from the environment and the command line has
+no root options."""
 import inspect
 import re
 from pathlib import Path
@@ -84,8 +85,8 @@ def test_primes_up_to_has_one_sieve_route():
     assert inspect.getsource(arith.primes_up_to).count("_simple_sieve(") == 1
 
 
-def _functions_raising(exc):
-    """(module, function) for each `raise exc(` site, by the enclosing def."""
+def _sites(pattern):
+    """(module, function) for each line matching pattern, by the enclosing def."""
     sites = []
     for name, text in SOURCES.items():
         func = None
@@ -93,7 +94,7 @@ def _functions_raising(exc):
             m = re.match(r"\s*def (\w+)\(", line)
             if m:
                 func = m.group(1)
-            if f"raise {exc}(" in line:
+            if re.search(pattern, line):
                 sites.append((name, func))
     return sorted(sites)
 
@@ -101,7 +102,7 @@ def _functions_raising(exc):
 def test_guard_errors_come_from_the_range_check():
     # besides check_range: the factorization value guard, the residue
     # harness's admissible-range bound and the primality proof bound
-    assert _functions_raising("GuardError") == [
+    assert _sites(r"raise GuardError\(") == [
         ("arith.py", "is_prime"),
         ("errors.py", "check_range"),
         ("experiments.py", "_check_values"),
@@ -115,10 +116,7 @@ def test_one_rational_parser():
 
 
 def test_no_knobs_with_one_value_in_use():
-    from pslab import expsum
-
     assert "eps" not in inspect.signature(experiments.convolution_count).parameters
-    assert "threads" not in inspect.signature(expsum.ratio_report).parameters
 
 
 def test_one_e_of_x():
@@ -130,3 +128,13 @@ def test_one_e_of_x():
     assert _count(r"np\.(cos|sin)\(") == 2
     assert inspect.getsource(expsum._e_table).count("np.cos(") == 1
     assert all("cis2pi(" in SOURCES[name] for name in ("expsum.py", "sawtooth.py"))
+
+
+def test_one_value_generator():
+    from pslab import arith
+
+    assert _count(r"_values_upto|ps_value_chunks") == 0
+    # every value array is built by pscore.value_blocks, block by block
+    assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "value_blocks")]
+    # and factor_stream factors what it is given, with no slicing of its own
+    assert "CHUNK" not in inspect.getsource(arith.factor_stream)
