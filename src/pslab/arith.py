@@ -12,6 +12,7 @@ which hands the rare element it cannot split to the scalar rho.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum, gcd, isqrt, log, prod
 
 import numpy as np
@@ -35,15 +36,30 @@ _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SPRP_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-@dataclass
+@dataclass(frozen=True)
 class SieveCache:
-    """The primes up to a primes_up_to limit.
+    """The primes up to a primes_up_to limit, and the sieve's odd-number flags.
 
-    Immutable after construction; safe to share across threads.
+    Both arrays are read-only, so primes_up_to can hand one sieve to every
+    caller; safe to share across threads.
     """
 
     primes: np.ndarray  # ascending int64
+    # little-endian packed flags: bit m says whether 2m + 1 <= limit is prime;
+    # one byte beyond them keeps index limit + 1 in range
+    odd_bits: np.ndarray
     spf: None = None  # always None; perfbench/tracing.py's _after_sieve reads it
+
+    def __post_init__(self) -> None:
+        self.primes.setflags(write=False)
+        self.odd_bits.setflags(write=False)
+
+    def contains(self, vals: np.ndarray) -> np.ndarray:
+        """Whether each v in the int64 vals, 0 <= v <= limit + 1, is a
+        prime <= limit: one bit lookup each."""
+        m = vals >> 1
+        odd = ((self.odd_bits[m >> 3] >> (m & 7)) & vals & 1).astype(bool)
+        return odd | ((vals == 2) & (self.primes.size > 0))
 
 
 @dataclass(frozen=True)
@@ -93,18 +109,20 @@ _PRESIEVE_PERIOD = prod(_PRESIEVE_PRIMES)
 _PRESIEVE = np.gcd(2 * np.arange(_PRESIEVE_PERIOD) + 1, _PRESIEVE_PERIOD) == 1
 
 
+@lru_cache(maxsize=1)
 def primes_up_to(limit: int) -> SieveCache:
     """Segmented sieve of Eratosthenes over the odd numbers; exact prime list
-    up to ``limit``.
+    up to ``limit`` and the packed flags it was read from.
 
     Segment flag i stands for lo + 2i.  Each segment starts as a slice of the
-    3*5*7*11*13 pattern, so only the base primes above 13 stride it; 2 and
-    the five pattern primes are prepended.
+    3*5*7*11*13 pattern, so only the base primes above 13 stride it; the five
+    pattern primes are flagged back in and 2 is prepended.  The last sieve is
+    kept: callers at one limit share it.
     """
     check_range(limit, 0, SIEVE_LIMIT_GUARD, "sieve", name="limit")
 
     if limit < 2:
-        return SieveCache(np.empty(0, dtype=np.int64))
+        return SieveCache(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.uint8))
 
     base = _simple_sieve(isqrt(limit))
     base = base[base > _PRESIEVE_PRIMES[-1]]
@@ -117,19 +135,25 @@ def primes_up_to(limit: int) -> SieveCache:
     pattern = np.tile(_PRESIEVE, -(-span // _PRESIEVE_PERIOD) + 1)
     # the guard keeps every prime below 2^31, so segments hold int32 and only
     # the joined array is int64
-    chunks = [np.array([p for p in (2, *_PRESIEVE_PRIMES) if p <= limit], dtype=np.int32)]
+    chunks = [np.array([2], dtype=np.int32)]
+    # allocated once, since joining packed segments would hold it twice;
+    # SEGMENT_SIZE is a multiple of 8, so each segment starts on a byte
+    odd_bits = np.zeros((m_end >> 3) + 1, dtype=np.uint8)
     for m0 in range(0, m_end, SEGMENT_SIZE):
         m1 = min(m0 + SEGMENT_SIZE, m_end)
         r = m0 % _PRESIEVE_PERIOD
         seg = pattern[r : r + m1 - m0].copy()
         if m0 == 0:
             seg[0] = False  # the number 1
+            seg[[(p - 1) // 2 for p in _PRESIEVE_PRIMES if p <= limit]] = True
         active = int(np.searchsorted(square, m1))
         starts = np.maximum((first[:active] - m0) % base[:active], square[:active] - m0)
         for p, s in zip(base[:active].tolist(), starts.tolist()):
             seg[s::p] = False
+        packed = np.packbits(seg, bitorder="little")
+        odd_bits[m0 >> 3 : (m0 >> 3) + packed.size] = packed
         chunks.append((np.flatnonzero(seg) * 2 + (2 * m0 + 1)).astype(np.int32))
-    return SieveCache(np.concatenate(chunks, dtype=np.int64))
+    return SieveCache(np.concatenate(chunks, dtype=np.int64), odd_bits)
 
 
 def is_prime(n: int) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arith import euler_phi, primes_up_to
 from .errors import RouteDisagreementError, ValidationError, check_range
-from .pscore import CHUNK, ExponentC, in_sorted, is_ps_value, last_preimage, value_blocks
+from .pscore import CHUNK, ExponentC, is_ps_value, last_preimage, value_blocks
 
 X_GUARD = 10**9
 ROUTE_TOLERANCE = 1e-9
@@ -75,14 +75,25 @@ def _chunked_sum(v: np.ndarray) -> float:
 
 @lru_cache(maxsize=1)  # the name predates the array it holds; perfbench clears it by name
 def _ps_prime_mask_cached(x: int, p: int, q: int) -> np.ndarray:
-    """The sequence primes <= x: the generated values that are prime, so
-    membership holds by construction; is_ps_value re-decides a sample."""
+    """The sequence primes <= x: the generated values whose bit is set in
+    the sieve, so membership holds by construction; is_ps_value re-decides a
+    sample."""
     c = ExponentC(p, q)
-    primes = primes_up_to(x).primes
+    sieve = primes_up_to(x)
+    primes = sieve.primes
     if primes.size == 0:
-        return primes
-    blocks = value_blocks(1, last_preimage(x, c), c)
-    ps = np.concatenate([vals[in_sorted(primes, vals)] for vals in blocks])
+        return np.empty(0, dtype=np.int64)
+    n_last = last_preimage(x, c)
+    # filled in place, then trimmed: per-block pieces, once freed, can stay
+    # resident beside the cached sieve.  At most one sequence prime per prime
+    # and per preimage; pages past the last one written are never touched
+    buf = np.empty(min(primes.size, n_last), dtype=np.int64)
+    size = 0
+    for vals in value_blocks(1, n_last, c):
+        found = vals[sieve.contains(vals)]
+        buf[size : size + found.size] = found
+        size += found.size
+    ps = buf[:size].copy()
     for k in primes[np.unique(np.linspace(0, primes.size - 1, WITNESS_SAMPLES).astype(np.int64))]:
         k, i = int(k), int(np.searchsorted(ps, k))
         generated = i < ps.size and int(ps[i]) == k

@@ -175,6 +175,20 @@ def test_ps_primes_match_witness_filter_at_value_boundaries(data):
     assert ps_primes_up_to(x, c).tolist() == want
 
 
+@pytest.mark.parametrize("c", [ExponentC(21, 20), C32, ExponentC(19, 10)], ids=str)
+def test_ps_primes_match_witness_filter(c):
+    x = 30000
+    want = [int(p) for p in primes_up_to(x).primes if is_ps_value(int(p), c).is_member]
+    assert ps_primes_up_to(x, c).tolist() == want
+
+
+def test_ps_primes_are_a_writable_copy():
+    ps = ps_primes_up_to(1000, C32)
+    ps[0] = 0
+    assert ps_primes_up_to(1000, C32)[0] == 2
+    assert ps_primes_up_to(1, C32).flags.writeable
+
+
 def test_dropped_member_is_a_route_disagreement(monkeypatch):
     generate = psprimes.value_blocks
 

@@ -62,8 +62,10 @@ def test_floor_pow_bulk_has_one_vectorized_route():
 def test_one_membership_lookup():
     lookup = r"np\.minimum\(np\.searchsorted"
     assert _count(lookup) == 1 and re.search(lookup, SOURCES["pscore.py"])
-    assert "def in_sorted(" in SOURCES["pscore.py"]
-    assert all("in_sorted(" in SOURCES[name] for name in ("psprimes.py", "experiments.py"))
+    assert "def in_sorted(" in SOURCES["pscore.py"] and "in_sorted(" in SOURCES["experiments.py"]
+    # psprimes decides primality only through the sieve's bitmap
+    assert "in_sorted" not in SOURCES["psprimes.py"]
+    assert SOURCES["psprimes.py"].count(".contains(") == 1
     assert "is_ps_value(" not in SOURCES["experiments.py"]
 
 
