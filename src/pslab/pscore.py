@@ -94,11 +94,12 @@ class PsWitness:
 
 
 def integer_root(m: int, q: int) -> int:
-    """Largest r with r^q <= m, by Newton iteration on exact integers.
+    """Largest r with r^q <= m, exactly, for any size of m.
 
-    The starting point comes from a floating estimate but the loop and the
-    final bracket check are pure big-integer arithmetic, so the result is
-    exact for any size of m.
+    A float estimate 2^t of the root starts it.  Below 2^40 that estimate
+    is off by under 1, so the exact bracket check alone settles it, in at
+    most one step; from 2^40 up, Newton iteration on exact integers runs
+    first, from a seed above the root.
     """
     if q < 1:
         raise ValidationError(f"root order must be >= 1, got {q}")
@@ -110,18 +111,23 @@ def integer_root(m: int, q: int) -> int:
         return isqrt(m)
     if m.bit_length() <= q:  # m < 2^q means the root is 1
         return 1
-    # seed above the true root, so Newton decreases monotonically to it: t is
-    # log2 of the root from the top 53 bits of m, and 2^t is off by under
-    # (t + 1) 2^-46 relative, half the margin below; s keeps 2^(t - s) < 2^54
+    # t is log2 of the root from the top 53 bits of m, and 2^t is off by
+    # under (t + 1) 2^-46 relative: below 2^40 that is under 1, so the
+    # bracket check below moves int(2^t) by at most one
     shift = max(m.bit_length() - 53, 0)
     t = (log2(m >> shift) + shift) / q
-    s = max(int(t) - 53, 0)
-    r = (int(2.0 ** (t - s) * (1.0 + (t + 1.0) * 2.0**-45)) + 2) << s
-    while True:
-        nxt = ((q - 1) * r + m // r ** (q - 1)) // q
-        if nxt >= r:
-            break
-        r = nxt
+    if t < 40:
+        r = int(2.0**t)
+    else:
+        # seed above the true root, so Newton decreases monotonically to it:
+        # the seed adds twice the estimate's error; s keeps 2^(t - s) < 2^54
+        s = max(int(t) - 53, 0)
+        r = (int(2.0 ** (t - s) * (1.0 + (t + 1.0) * 2.0**-45)) + 2) << s
+        while True:
+            nxt = ((q - 1) * r + m // r ** (q - 1)) // q
+            if nxt >= r:
+                break
+            r = nxt
     # exact bracket check guards against an off-by-one from the float seed
     while r**q > m:
         r -= 1
@@ -235,10 +241,13 @@ def count_decomposition(
     main: list[float] = []
     correction: list[float] = []
     for start in range(1, K + 1, CHUNK):
-        ks = np.arange(start, min(start + CHUNK, K + 1), dtype=np.float64)
+        # one extra point: k + 1 is exactly the next float, so s[1:] is psi(-(k+1)^gamma)
+        ks_ext = np.arange(start, min(start + CHUNK, K + 1) + 1, dtype=np.float64)
+        s = psi(-(ks_ext**gamma))
+        ks = ks_ext[:-1]
         w = np.asarray(z(ks), dtype=np.float64)
         main.append(float(np.sum(w * ks ** (gamma - 1.0))))
-        correction.append(float(np.sum(w * (psi(-((ks + 1.0) ** gamma)) - psi(-(ks**gamma))))))
+        correction.append(float(np.sum(w * (s[1:] - s[:-1]))))
     exact = fsum(
         float(np.sum(np.asarray(z(vals.astype(np.float64)), dtype=np.float64)))
         for vals in value_blocks(1, last_preimage(K, c), c)
@@ -251,6 +260,7 @@ def count_decomposition(
 # ---------------------------------------------------------------------------
 
 _INT64_SAFE_BITS = 62
+BAND_SLICE = 1 << 12  # band elements per pair of object-array powers
 
 
 def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
@@ -264,8 +274,8 @@ def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
     dyadic c) moves n^c by v |delta| ln v / c; rounding n moves it by
     c v 2^-53, counted only when n_max >= 2^53; pow adds at most 2 ulp
     (4 v 2^-53).  Every element whose fractional part lies within 10x that
-    budget at v_max of an integer is settled by floor_pow; once the band
-    reaches 1/2, that is every element.
+    budget at v_max of an integer (the band; once it reaches 1/2, every
+    element) is settled exactly by _settle_band.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
@@ -287,10 +297,27 @@ def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
     tol = 10.0 * v_max * (dc * log(v_max) / cf + dn + 4.0 * 2.0**-53)
     k = np.floor(v)
     frac = np.subtract(v, k, out=v)  # in place: v is not read again
-    suspect = (frac < tol) | (frac > 1.0 - tol)
+    band = np.flatnonzero((frac < tol) | (frac > 1.0 - tol))
     k = k.astype(np.int64)
-    k[suspect] = [floor_pow(n, c) for n in ns[suspect].tolist()]
+    if band.size:
+        k[band] = _settle_band(ns[band], k[band] + (frac[band] > 0.5), c, tol)
     return k
+
+
+def _settle_band(ns: np.ndarray, m: np.ndarray, c: ExponentC, tol: float) -> np.ndarray:
+    """floor(n^c) for floor_pow_bulk's band elements ns, exactly: m is the
+    integer nearest each float candidate, which lies within tol of m and
+    within tol/10 of n^c.  Below tol = 1/2, n^c lies within 2 tol < 1 of m
+    even if the float error filled the whole band, so the floor is m - 1 or
+    m, and the one comparison m^q > n^p on object arrays, BAND_SLICE
+    elements at a time, settles it while n^p has at most EXACT_BITS bits;
+    a wider band, or larger powers, takes floor_pow per element."""
+    if tol >= 0.5 or c.p * int(ns.max()).bit_length() > EXACT_BITS:
+        return np.array([floor_pow(n, c) for n in ns.tolist()], dtype=np.int64)
+    for lo in range(0, ns.size, BAND_SLICE):
+        part = slice(lo, lo + BAND_SLICE)
+        m[part] -= m[part].astype(object) ** c.q > ns[part].astype(object) ** c.p
+    return m
 
 
 def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -48,8 +48,8 @@ def _check_progression(x: int, d: int) -> None:
 
 
 def _in_progression(ps: np.ndarray, d: int, a: int) -> np.ndarray:
-    """The ps = a (mod d)."""
-    return ps if d == 1 else ps[ps % d == a % d]
+    """The ps = a (mod d): ps itself when d = 1, else a fresh array."""
+    return ps if d == 1 else np.compress(ps % d == a % d, ps)
 
 
 def _progression_primes(x: int, d: int, a: int) -> np.ndarray:
@@ -94,6 +94,7 @@ def _ps_prime_mask_cached(x: int, p: int, q: int) -> np.ndarray:
         buf[size : size + found.size] = found
         size += found.size
     ps = buf[:size].copy()
+    ps.setflags(write=False)
     for k in primes[np.unique(np.linspace(0, primes.size - 1, WITNESS_SAMPLES).astype(np.int64))]:
         k, i = int(k), int(np.searchsorted(ps, k))
         generated = i < ps.size and int(ps[i]) == k
@@ -102,20 +103,22 @@ def _ps_prime_mask_cached(x: int, p: int, q: int) -> np.ndarray:
     return ps
 
 
-def ps_primes_up_to(x: int, c: ExponentC) -> np.ndarray:
-    """The sequence primes up to x, found by generating the values floor(n^c)."""
-    return _ps_prime_mask_cached(x, c.p, c.q).copy()
+def ps_primes_up_to(x: int, c: ExponentC, d: int = 1, a: int = 0) -> np.ndarray:
+    """The sequence primes p <= x with p = a (mod d), found by generating the
+    values floor(n^c): a fresh array, selected from the cached one."""
+    _check_progression(x, d)
+    ps = _ps_prime_mask_cached(x, c.p, c.q)
+    return ps.copy() if d == 1 else _in_progression(ps, d, a)
 
 
 def pi_c_ap(q: ApQuery) -> int:
     """Count of sequence primes p <= x with p = a (mod d)."""
-    return int(_in_progression(ps_primes_up_to(q.x, q.c), q.d, q.a).size)
+    return int(ps_primes_up_to(q.x, q.c, q.d, q.a).size)
 
 
 def vartheta_c_ap(q: ApQuery) -> float:
     """Log-weighted count of sequence primes in the progression."""
-    ps = _in_progression(ps_primes_up_to(q.x, q.c), q.d, q.a)
-    return _chunked_sum(np.log(ps.astype(np.float64)))
+    return _chunked_sum(np.log(ps_primes_up_to(q.x, q.c, q.d, q.a).astype(np.float64)))
 
 
 def ap_main_term(q: ApQuery) -> float:
@@ -132,11 +135,11 @@ def ap_main_term(q: ApQuery) -> float:
     raises RouteDisagreementError.
     """
     gamma = q.c.gamma
-    ps = _progression_primes(q.x, q.d, q.a).astype(np.float64)
+    pg = _progression_primes(q.x, q.d, q.a).astype(np.float64) ** (gamma - 1.0)
     xg = float(q.x) ** (gamma - 1.0)
-    integral = _chunked_sum((xg - ps ** (gamma - 1.0)) / (gamma - 1.0))
-    route_a = gamma * xg * ps.size + gamma * (1.0 - gamma) * integral
-    route_b = gamma * _chunked_sum(ps ** (gamma - 1.0))
+    integral = _chunked_sum((xg - pg) / (gamma - 1.0))
+    route_a = gamma * xg * pg.size + gamma * (1.0 - gamma) * integral
+    route_b = gamma * _chunked_sum(pg)
 
     scale = max(abs(route_a), abs(route_b), 1e-300)
     if abs(route_a - route_b) / scale > ROUTE_TOLERANCE:

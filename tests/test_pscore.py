@@ -255,6 +255,19 @@ def test_floor_pow_bulk_int64_fit_rule(c):
     _check_bulk(np.arange(max(top - 8, 1), top + 1), c)
 
 
+def _record_band(monkeypatch):
+    # the elements floor_pow_bulk hands to its exact settle, by either route
+    settled = []
+    settle = pscore._settle_band
+
+    def recorded(ns, m, c, tol):
+        settled.extend(ns.tolist())
+        return settle(ns, m, c, tol)
+
+    monkeypatch.setattr(pscore, "_settle_band", recorded)
+    return settled
+
+
 def test_floor_pow_bulk_repair_band_keeps_its_margin(monkeypatch):
     # every element whose float candidate lies within 10x the largest float
     # error seen of an integer must be settled exactly; at c = 1001/1000
@@ -262,14 +275,7 @@ def test_floor_pow_bulk_repair_band_keeps_its_margin(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
     c = ExponentC(1001, 1000)
     ns = np.arange(10**12, 10**12 + 4000, dtype=np.int64)
-    settled = []
-    exact_floor_pow = pscore.floor_pow
-
-    def recorded(n, c):
-        settled.append(n)
-        return exact_floor_pow(n, c)
-
-    monkeypatch.setattr(pscore, "floor_pow", recorded)
+    settled = _record_band(monkeypatch)
     floor_pow_bulk(ns, c)
     v = np.power(ns.astype(np.float64), c.as_float)
     with mpmath.workprec(160):
@@ -286,14 +292,7 @@ def test_floor_pow_bulk_repair_band_keeps_its_margin_when_pow_is_the_budget(monk
     # seen, and must stay far narrower than the worst-case band (about 40%)
     mpmath = pytest.importorskip("mpmath")
     ns = np.arange(3 * 10**8, 3 * 10**8 + 4000, dtype=np.int64)
-    settled = []
-    exact_floor_pow = pscore.floor_pow
-
-    def recorded(n, c):
-        settled.append(n)
-        return exact_floor_pow(n, c)
-
-    monkeypatch.setattr(pscore, "floor_pow", recorded)
+    settled = _record_band(monkeypatch)
     floor_pow_bulk(ns, C32)
     v = np.power(ns.astype(np.float64), C32.as_float)
     with mpmath.workprec(160):
@@ -302,6 +301,56 @@ def test_floor_pow_bulk_repair_band_keeps_its_margin_when_pow_is_the_budget(monk
     must = set(ns[dist < 10.0 * float(worst)].tolist())
     assert worst > 0 and must and must <= set(settled)
     assert len(settled) < 0.06 * ns.size
+
+
+C_WINDOWS = [ExponentC(*pq) for pq in [(3, 2), (8, 7), (17, 10), (21, 20), (1001, 1000)]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.sampled_from(C_WINDOWS), at_fit=st.booleans(), data=st.data())
+def test_floor_pow_bulk_windows_match_floor_pow(c, at_fit, data):
+    # windows log-uniform in n, which reach both settles of the band (a band
+    # below 1/2 compared in bulk, a wider one per element), or ending at the
+    # largest n of the int64 path
+    width = data.draw(st.integers(1, 300))
+    top = 2 ** _fit_bits(c) - 1
+    if at_fit:
+        lo = top - width + 1
+    else:
+        bits = data.draw(st.integers(1, _fit_bits(c)))
+        lo = min(data.draw(st.integers(2 ** (bits - 1), 2**bits - 1)), top - width + 1)
+    _check_bulk(np.arange(lo, lo + width), c)
+
+
+def test_floor_pow_bulk_settles_a_narrow_band_by_comparison(monkeypatch):
+    # below a band of 1/2 and EXACT_BITS bits of n^p no element reaches
+    # floor_pow; at 300001/150000 n^p is too large and each one does
+    calls = []
+    exact_floor_pow = pscore.floor_pow
+
+    def counted(n, c):
+        calls.append(n)
+        return exact_floor_pow(n, c)
+
+    monkeypatch.setattr(pscore, "floor_pow", counted)
+    settled = _record_band(monkeypatch)
+    ns = np.arange(3 * 10**8, 3 * 10**8 + 20000, dtype=np.int64)
+    got = floor_pow_bulk(ns, C32)
+    assert settled and not calls
+    assert [int(v) for v in got] == [integer_root(int(n) ** 3, 2) for n in ns]
+    settled.clear()
+    floor_pow_bulk(np.arange(10**6, 10**6 + 2000, dtype=np.int64), ExponentC(300001, 150000))
+    assert settled and calls == settled
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 1001])
+@pytest.mark.parametrize("r", [3, 2**39 + 12345, 2**40 - 1, 2**40, 2**40 + 1, 3 * 2**40 + 7])
+def test_integer_root_next_to_perfect_powers_around_2_40(r, q):
+    # below 2^40 the float estimate alone starts the bracket check, from
+    # 2^40 up Newton runs first; both must land on r - 1 or r exactly
+    assert integer_root(r**q - 1, q) == r - 1
+    assert integer_root(r**q, q) == r
+    assert integer_root(r**q + 1, q) == r
 
 
 @pytest.mark.parametrize("c", [ExponentC(1025, 1024), ExponentC(1001, 1000)], ids=str)
@@ -426,6 +475,25 @@ def test_decomposition_sums_match_fsum_recount():
     want_corr = math.fsum(psi(-((ks + 1.0) ** g)) - psi(-(ks**g)))
     assert abs(main - want_main) <= 1e-12 * abs(want_main)
     assert abs(corr - want_corr) <= 1e-12 * abs(want_corr)
+
+
+def test_decomposition_sums_are_the_chunked_two_sided_psi_sums():
+    # each chunk's correction is psi(-(k+1)^gamma) - psi(-k^gamma) with both
+    # powers formed separately, summed per chunk and combined by fsum
+    from pslab.sawtooth import psi
+
+    K, c = 2 * pscore.CHUNK + 17, ExponentC(17, 10)
+    g = c.gamma
+
+    def z(ks):
+        return np.sqrt(ks) % 7.0
+
+    main, corr = [], []
+    for start in range(1, K + 1, pscore.CHUNK):
+        ks = np.arange(start, min(start + pscore.CHUNK, K + 1), dtype=np.float64)
+        main.append(float(np.sum(z(ks) * ks ** (g - 1.0))))
+        corr.append(float(np.sum(z(ks) * (psi(-((ks + 1.0) ** g)) - psi(-(ks**g))))))
+    assert count_decomposition(K, c, z)[:2] == (g * math.fsum(main), math.fsum(corr))
 
 
 def test_parse_rational():

@@ -189,6 +189,19 @@ def test_ps_primes_are_a_writable_copy():
     assert ps_primes_up_to(1, C32).flags.writeable
 
 
+def test_ps_primes_in_a_progression_are_a_fresh_selection():
+    c = ExponentC(1001, 1000)
+    every = ps_primes_up_to(10**4, c)
+    for d, a in [(1, 0), (4, 1), (4, 3), (7, 0), (10, 13)]:
+        ps = ps_primes_up_to(10**4, c, d, a)
+        assert ps.tolist() == [p for p in every.tolist() if p % d == a % d]
+        ps[:1] = 0  # the caller's own array; the cached one is read-only
+    assert ps_primes_up_to(10**4, c).tolist() == every.tolist()
+    assert not psprimes._ps_prime_mask_cached(10**4, c.p, c.q).flags.writeable
+    with pytest.raises(ValidationError):
+        ps_primes_up_to(10**4, c, 0, 1)
+
+
 def test_dropped_member_is_a_route_disagreement(monkeypatch):
     generate = psprimes.value_blocks
 
