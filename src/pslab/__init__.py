@@ -68,6 +68,7 @@ from .pscore import (
     floor_pow_bulk,
     integer_root,
     is_ps_value,
+    is_ps_value_bulk,
     ps_values_in,
 )
 from .psprimes import (

@@ -7,7 +7,7 @@ increments, so repeated runs factor every input identically.
 ``factor_stream`` factors a value array as given, in one division-free
 trial-division pass; the harnesses hand it one value block at a time.  Its
 pq cofactors are split together by a lockstep rho on the same x^2 + 1,
-which hands the rare element it cannot split to the scalar rho.
+which hands each element it cannot split (7-14% of them) to the scalar rho.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ MOBIUS_LIMIT_GUARD = 10**8
 # below 2^40, where _mulmod's 20-bit halves stay exact in int64, and below
 # 1.122e12, where _MR_BASES are proven complete
 SQUAREFREE_BULK_MAX = 10**12
-# odd numbers per sieve segment, a 512 KiB bitmap: at 10^7 and 10^8 as fast
+# odd numbers per sieve segment, 512 KiB of flags: at 10^7 and 10^8 as fast
 # as 2^20 and faster than 2^18; at 10^9 about 10% behind 2^20 (2 MiB L2/core)
 SEGMENT_SIZE = 1 << 19
 
@@ -38,28 +38,17 @@ _SPRP_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 @dataclass(frozen=True)
 class SieveCache:
-    """The primes up to a primes_up_to limit, and the sieve's odd-number flags.
+    """The primes up to a primes_up_to limit.
 
-    Both arrays are read-only, so primes_up_to can hand one sieve to every
+    The array is read-only, so primes_up_to can hand one sieve to every
     caller; safe to share across threads.
     """
 
     primes: np.ndarray  # ascending int64
-    # little-endian packed flags: bit m says whether 2m + 1 <= limit is prime;
-    # one byte beyond them keeps index limit + 1 in range
-    odd_bits: np.ndarray
     spf: None = None  # always None; perfbench/tracing.py's _after_sieve reads it
 
     def __post_init__(self) -> None:
         self.primes.setflags(write=False)
-        self.odd_bits.setflags(write=False)
-
-    def contains(self, vals: np.ndarray) -> np.ndarray:
-        """Whether each v in the int64 vals, 0 <= v <= limit + 1, is a
-        prime <= limit: one bit lookup each."""
-        m = vals >> 1
-        odd = ((self.odd_bits[m >> 3] >> (m & 7)) & vals & 1).astype(bool)
-        return odd | ((vals == 2) & (self.primes.size > 0))
 
 
 @dataclass(frozen=True)
@@ -112,7 +101,7 @@ _PRESIEVE = np.gcd(2 * np.arange(_PRESIEVE_PERIOD) + 1, _PRESIEVE_PERIOD) == 1
 @lru_cache(maxsize=1)
 def primes_up_to(limit: int) -> SieveCache:
     """Segmented sieve of Eratosthenes over the odd numbers; exact prime list
-    up to ``limit`` and the packed flags it was read from.
+    up to ``limit``.
 
     Segment flag i stands for lo + 2i.  Each segment starts as a slice of the
     3*5*7*11*13 pattern, so only the base primes above 13 stride it; the five
@@ -122,7 +111,7 @@ def primes_up_to(limit: int) -> SieveCache:
     check_range(limit, 0, SIEVE_LIMIT_GUARD, "sieve", name="limit")
 
     if limit < 2:
-        return SieveCache(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.uint8))
+        return SieveCache(np.empty(0, dtype=np.int64))
 
     base = _simple_sieve(isqrt(limit))
     base = base[base > _PRESIEVE_PRIMES[-1]]
@@ -136,9 +125,6 @@ def primes_up_to(limit: int) -> SieveCache:
     # the guard keeps every prime below 2^31, so segments hold int32 and only
     # the joined array is int64
     chunks = [np.array([2], dtype=np.int32)]
-    # allocated once, since joining packed segments would hold it twice;
-    # SEGMENT_SIZE is a multiple of 8, so each segment starts on a byte
-    odd_bits = np.zeros((m_end >> 3) + 1, dtype=np.uint8)
     for m0 in range(0, m_end, SEGMENT_SIZE):
         m1 = min(m0 + SEGMENT_SIZE, m_end)
         r = m0 % _PRESIEVE_PERIOD
@@ -150,10 +136,8 @@ def primes_up_to(limit: int) -> SieveCache:
         starts = np.maximum((first[:active] - m0) % base[:active], square[:active] - m0)
         for p, s in zip(base[:active].tolist(), starts.tolist()):
             seg[s::p] = False
-        packed = np.packbits(seg, bitorder="little")
-        odd_bits[m0 >> 3 : (m0 >> 3) + packed.size] = packed
         chunks.append((np.flatnonzero(seg) * 2 + (2 * m0 + 1)).astype(np.int32))
-    return SieveCache(np.concatenate(chunks, dtype=np.int64), odd_bits)
+    return SieveCache(np.concatenate(chunks, dtype=np.int64))
 
 
 def is_prime(n: int) -> bool:
@@ -402,7 +386,10 @@ def _rho_split_bulk(n: np.ndarray) -> np.ndarray:
     one schedule, and each batch of _RHO_BATCH products |x - y| ends in one
     np.gcd, after which the split n drop out.  An n whose gcd reaches n
     itself goes to the scalar _rho_split, which backtracks and, if need
-    be, changes the polynomial.
+    be, changes the polynomial.  That is no rare case: large_pf_exceed
+    hands on 1769 of 12581 pq cofactors at (10^5, 8/5), 11565 of 155992 at
+    (10^6, 8/5) and 14286 of 149487 at (10^6, 3/2), and the scalar splits
+    take about half of the rho time.
     """
     d = n.copy()
     live, m = np.arange(n.size), n

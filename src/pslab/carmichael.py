@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import FactorMap, factorize, primes_up_to
 from .errors import ValidationError, check_range
-from .pscore import ExponentC, is_ps_value
+from .pscore import ExponentC, is_ps_value, is_ps_value_bulk
 
 SEARCH_GUARD = 10**9
 SEGMENT = 1 << 20  # numbers per Korselt-sieve segment, about 20 MB of work arrays
@@ -60,10 +60,6 @@ def korselt(N: int) -> bool:
     return _korselt_factors(N, factorize(N))
 
 
-def _record(N: int, fm: FactorMap, c: ExponentC) -> CarmichaelRecord:
-    return CarmichaelRecord(N, fm, tuple(is_ps_value(p, c).is_member for p in fm.primes()))
-
-
 def is_ps_carmichael(N: int, c: ExponentC) -> Optional[CarmichaelRecord]:
     """The record for N when N is Carmichael with every factor a sequence
     value under c; None otherwise.  N is factored once."""
@@ -72,7 +68,7 @@ def is_ps_carmichael(N: int, c: ExponentC) -> Optional[CarmichaelRecord]:
     fm = factorize(N)
     if not _korselt_factors(N, fm):
         return None
-    rec = _record(N, fm, c)
+    rec = CarmichaelRecord(N, fm, tuple(is_ps_value(p, c).is_member for p in fm.primes()))
     return rec if rec.all_ps else None
 
 
@@ -112,7 +108,12 @@ def search_ps_carmichael(limit: int, c: ExponentC, require_all: bool = True) -> 
     """All Carmichael numbers <= limit, ascending, with exact membership
     witnesses under c for their factors; with ``require_all``, only those
     whose factors are all sequence values."""
-    records = [_record(N, factorize(N), c) for N in carmichael_numbers_up_to(limit)]
+    numbers = carmichael_numbers_up_to(limit)
+    fms = [factorize(N) for N in numbers]
+    # every factor's membership from one bulk call, in record order
+    factors = np.array([p for fm in fms for p in fm.primes()], dtype=np.int64)
+    member = iter(is_ps_value_bulk(factors, c).tolist())
+    records = [CarmichaelRecord(N, fm, tuple(next(member) for _ in fm.entries)) for N, fm in zip(numbers, fms)]
     return [r for r in records if r.all_ps] if require_all else records
 
 

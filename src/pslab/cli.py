@@ -199,7 +199,7 @@ def _cmd_sum(args) -> None:
             with open(args.instance, encoding="utf-8") as fh:
                 text = fh.read()
         inst = expsum.SumInstance.from_json(text)
-        value = expsum.eval_sum(inst)
+        value = expsum.eval_sum(inst, threads=os.cpu_count() or 1)
         print(f"{value.real!r} {value.imag!r} abs={abs(value)!r}")
     elif args.sum_cmd == "bound":
         if args.kind == "vdc2":

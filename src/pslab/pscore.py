@@ -264,17 +264,24 @@ BAND_SLICE = 1 << 12  # band elements per pair of object-array powers
 
 
 def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
-    """Vectorized floor(n^c) over an int64 array, exact on every element.
+    """Vectorized floor(n^c) over an int64 array, exact on every element
+    (see _floor_pow_bulk)."""
+    return _floor_pow_bulk(ns, c.p, c.q)
 
-    The result is int64 when n_max < 2^bits with bits * p <= 62 q, so every
+
+def _floor_pow_bulk(ns: np.ndarray, a: int, b: int) -> np.ndarray:
+    """floor(n^(a/b)) over an int64 array, for coprime a, b >= 1, exact on
+    every element.
+
+    The result is int64 when n_max < 2^bits with bits * a <= 62 b, so every
     value and its float64 candidate stay below 2^63; above that it is an
-    object array of Python integers, one floor_pow per element.  The float64
-    candidate v errs only near an integer, by the sum of three terms:
-    rounding c to float64 by delta = float(c) - p/q (exact, rounded up; 0 for
-    dyadic c) moves n^c by v |delta| ln v / c; rounding n moves it by
-    c v 2^-53, counted only when n_max >= 2^53; pow adds at most 2 ulp
-    (4 v 2^-53).  Every element whose fractional part lies within 10x that
-    budget at v_max of an integer (the band; once it reaches 1/2, every
+    object array of Python integers, one exact floor per element.  The
+    float64 candidate v errs only near an integer, by the sum of three
+    terms: rounding e = a/b to float64 by delta = float(e) - a/b (exact,
+    rounded up; 0 for dyadic e) moves n^e by v |delta| ln v / e; rounding n
+    moves it by e v 2^-53, counted only when n_max >= 2^53; pow adds at most
+    2 ulp (4 v 2^-53).  Every element whose fractional part lies within 10x
+    that budget at v_max of an integer (the band; once it reaches 1/2, every
     element) is settled exactly by _settle_band.
     """
     ns = np.asarray(ns, dtype=np.int64)
@@ -283,41 +290,70 @@ def floor_pow_bulk(ns: np.ndarray, c: ExponentC) -> np.ndarray:
     n_max = int(ns.max())
     if int(ns.min()) < 1:
         raise ValidationError("floor_pow_bulk requires all n >= 1")
-    if n_max.bit_length() * c.p > _INT64_SAFE_BITS * c.q:
-        return np.array([floor_pow(int(n), c) for n in ns], dtype=object)
+    if n_max.bit_length() * a > _INT64_SAFE_BITS * b:
+        return np.array(_floor_pow_each(ns.tolist(), a, b), dtype=object)
 
-    cf = c.as_float
-    delta = abs(Fraction(cf) - Fraction(c.p, c.q))
-    dc = float(delta)
-    if dc < delta:
-        dc = nextafter(dc, inf)
-    dn = cf * 2.0**-53 if n_max >= 2**53 else 0.0
-    v = np.power(ns.astype(np.float64), cf)
-    v_max = float(n_max) ** cf
-    tol = 10.0 * v_max * (dc * log(v_max) / cf + dn + 4.0 * 2.0**-53)
+    ef = a / b
+    delta = abs(Fraction(ef) - Fraction(a, b))
+    de = float(delta)
+    if de < delta:
+        de = nextafter(de, inf)
+    dn = ef * 2.0**-53 if n_max >= 2**53 else 0.0
+    v = np.power(ns.astype(np.float64), ef)
+    v_max = float(n_max) ** ef
+    tol = 10.0 * v_max * (de * log(v_max) / ef + dn + 4.0 * 2.0**-53)
     k = np.floor(v)
     frac = np.subtract(v, k, out=v)  # in place: v is not read again
     band = np.flatnonzero((frac < tol) | (frac > 1.0 - tol))
     k = k.astype(np.int64)
     if band.size:
-        k[band] = _settle_band(ns[band], k[band] + (frac[band] > 0.5), c, tol)
+        k[band] = _settle_band(ns[band], k[band] + (frac[band] > 0.5), a, b, tol)
     return k
 
 
-def _settle_band(ns: np.ndarray, m: np.ndarray, c: ExponentC, tol: float) -> np.ndarray:
-    """floor(n^c) for floor_pow_bulk's band elements ns, exactly: m is the
-    integer nearest each float candidate, which lies within tol of m and
-    within tol/10 of n^c.  Below tol = 1/2, n^c lies within 2 tol < 1 of m
-    even if the float error filled the whole band, so the floor is m - 1 or
-    m, and the one comparison m^q > n^p on object arrays, BAND_SLICE
-    elements at a time, settles it while n^p has at most EXACT_BITS bits;
-    a wider band, or larger powers, takes floor_pow per element."""
-    if tol >= 0.5 or c.p * int(ns.max()).bit_length() > EXACT_BITS:
-        return np.array([floor_pow(n, c) for n in ns.tolist()], dtype=np.int64)
+def _floor_pow_each(ns: list[int], a: int, b: int) -> list[int]:
+    """floor(n^(a/b)) one element at a time, exactly; an exponent c = a/b
+    goes through floor_pow, whose calls count the exact fallbacks."""
+    if a > b:
+        c = ExponentC(a, b)
+        return [floor_pow(n, c) for n in ns]
+    return [_floor_pow(n, a, b) for n in ns]
+
+
+def _settle_band(ns: np.ndarray, m: np.ndarray, a: int, b: int, tol: float) -> np.ndarray:
+    """floor(n^(a/b)) for _floor_pow_bulk's band elements ns, exactly: m is
+    the integer nearest each float candidate, which lies within tol of m and
+    within tol/10 of n^(a/b).  Below tol = 1/2, n^(a/b) lies within
+    2 tol < 1 of m even if the float error filled the whole band, so the
+    floor is m - 1 or m, and the one comparison m^b > n^a on object arrays,
+    BAND_SLICE elements at a time, settles it while n^a has at most
+    EXACT_BITS bits; a wider band, or larger powers, takes the exact floor
+    per element."""
+    if tol >= 0.5 or a * int(ns.max()).bit_length() > EXACT_BITS:
+        return np.array(_floor_pow_each(ns.tolist(), a, b), dtype=np.int64)
     for lo in range(0, ns.size, BAND_SLICE):
         part = slice(lo, lo + BAND_SLICE)
-        m[part] -= m[part].astype(object) ** c.q > ns[part].astype(object) ** c.p
+        m[part] -= m[part].astype(object) ** b > ns[part].astype(object) ** a
     return m
+
+
+def is_ps_value_bulk(ks: np.ndarray, c: ExponentC) -> np.ndarray:
+    """Whether each k >= 1 of an int64 array is a value floor(n^c), exactly:
+    the bulk is_ps_value.
+
+    With n0 = floor(k^(1/c)), k is a value when floor((n0+1)^c) = k or
+    floor(n0^c) = k.  The second holds only when n0^p = k^q, that is when
+    k = m^p is a perfect p-th power (and n0 = m^q), and every such k is a
+    value; so the perfect p-th powers are looked up, not computed.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.size == 0:
+        return np.zeros(0, dtype=bool)
+    if int(ks.min()) < 1:
+        raise ValidationError("is_ps_value_bulk requires all k >= 1")
+    n0 = _floor_pow_bulk(ks, c.q, c.p)
+    powers = np.arange(1, integer_root(int(ks.max()), c.p) + 1, dtype=np.int64) ** c.p
+    return (floor_pow_bulk(n0 + 1, c) == ks) | in_sorted(powers, ks)
 
 
 def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:

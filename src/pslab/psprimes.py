@@ -1,9 +1,10 @@
 """Counting sequence primes in arithmetic progressions and the two-route
 evaluation of the smoothed main term.
 
-Sequence primes are the exact values floor(n^c) that are prime, with the
-big-integer membership witness re-checked on a sample; only the log-weighted
-sums are floating point, each a math.fsum of fixed 2^16-element chunk sums.
+Sequence primes are the primes that are exact values floor(n^c), found by
+the bulk membership test, with the big-integer membership witness
+re-checked on a sample; only the log-weighted sums are floating point,
+each a math.fsum of fixed 2^16-element chunk sums.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .arith import euler_phi, primes_up_to
 from .errors import RouteDisagreementError, ValidationError, check_range
-from .pscore import CHUNK, ExponentC, is_ps_value, last_preimage, value_blocks
+from .pscore import CHUNK, ExponentC, is_ps_value, is_ps_value_bulk
 
 X_GUARD = 10**9
 ROUTE_TOLERANCE = 1e-9
@@ -75,37 +76,36 @@ def _chunked_sum(v: np.ndarray) -> float:
 
 @lru_cache(maxsize=1)  # the name predates the array it holds; perfbench clears it by name
 def _ps_prime_mask_cached(x: int, p: int, q: int) -> np.ndarray:
-    """The sequence primes <= x: the generated values whose bit is set in
-    the sieve, so membership holds by construction; is_ps_value re-decides a
+    """The sequence primes <= x: the sieve's primes that is_ps_value_bulk
+    finds to be values, CHUNK primes at a time; is_ps_value re-decides a
     sample."""
     c = ExponentC(p, q)
-    sieve = primes_up_to(x)
-    primes = sieve.primes
+    primes = primes_up_to(x).primes
     if primes.size == 0:
         return np.empty(0, dtype=np.int64)
-    n_last = last_preimage(x, c)
-    # filled in place, then trimmed: per-block pieces, once freed, can stay
-    # resident beside the cached sieve.  At most one sequence prime per prime
-    # and per preimage; pages past the last one written are never touched
-    buf = np.empty(min(primes.size, n_last), dtype=np.int64)
+    # filled in place, then trimmed: per-chunk pieces, once freed, can stay
+    # resident beside the cached sieve.  Pages past the last prime written
+    # are never touched
+    buf = np.empty(primes.size, dtype=np.int64)
     size = 0
-    for vals in value_blocks(1, n_last, c):
-        found = vals[sieve.contains(vals)]
+    for lo in range(0, primes.size, CHUNK):
+        part = primes[lo : lo + CHUNK]
+        found = part[is_ps_value_bulk(part, c)]
         buf[size : size + found.size] = found
         size += found.size
     ps = buf[:size].copy()
     ps.setflags(write=False)
     for k in primes[np.unique(np.linspace(0, primes.size - 1, WITNESS_SAMPLES).astype(np.int64))]:
         k, i = int(k), int(np.searchsorted(ps, k))
-        generated = i < ps.size and int(ps[i]) == k
-        if is_ps_value(k, c).is_member != generated:
-            raise RouteDisagreementError(f"prime {k}: generated={generated}, witness disagrees, c={c}")
+        kept = i < ps.size and int(ps[i]) == k
+        if is_ps_value(k, c).is_member != kept:
+            raise RouteDisagreementError(f"prime {k}: kept={kept}, witness disagrees, c={c}")
     return ps
 
 
 def ps_primes_up_to(x: int, c: ExponentC, d: int = 1, a: int = 0) -> np.ndarray:
-    """The sequence primes p <= x with p = a (mod d), found by generating the
-    values floor(n^c): a fresh array, selected from the cached one."""
+    """The sequence primes p <= x with p = a (mod d), found by testing each
+    prime's membership: a fresh array, selected from the cached one."""
     _check_progression(x, d)
     ps = _ps_prime_mask_cached(x, c.p, c.q)
     return ps.copy() if d == 1 else _in_progression(ps, d, a)

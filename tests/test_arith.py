@@ -89,27 +89,6 @@ def test_sieve_is_shared_and_read_only():
     assert primes_up_to(10**4) is sieve
     with pytest.raises(ValueError):
         sieve.primes[0] = 4
-    with pytest.raises(ValueError):
-        sieve.odd_bits[0] = 0
-
-
-def _assert_bitmap_matches_primes(limit):
-    sieve = primes_up_to(limit)
-    vals = np.arange(limit + 2, dtype=np.int64)
-    want = np.zeros(limit + 2, dtype=bool)
-    want[sieve.primes] = True
-    assert np.array_equal(sieve.contains(vals), want), limit
-
-
-@pytest.mark.parametrize("limit", [*range(41), *(2 * SEGMENT_SIZE + d for d in (-1, 0, 1, 2))])
-def test_sieve_bitmap_matches_primes(limit):
-    _assert_bitmap_matches_primes(limit)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 3 * 2**20))
-def test_sieve_bitmap_matches_primes_property(limit):
-    _assert_bitmap_matches_primes(limit)
 
 
 def test_is_prime_small_and_bases():

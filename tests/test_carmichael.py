@@ -8,6 +8,7 @@ from pslab import (
     carmichael_numbers_up_to,
     fermat_holds,
     is_ps_carmichael,
+    is_ps_value,
     korselt,
     search_ps_carmichael,
 )
@@ -117,3 +118,12 @@ def test_search_limit_range():
     assert carmichael_numbers_up_to(561) == [561]
     with pytest.raises(GuardError):
         carmichael_numbers_up_to(carmichael.SEARCH_GUARD + 1)
+
+
+@pytest.mark.parametrize("c", [ExponentC(21, 20), C32, C_NEAR_ONE], ids=str)
+def test_search_status_matches_per_factor_witnesses(c):
+    # one bulk membership call decides every factor of every record
+    records = search_ps_carmichael(10**5, c, require_all=False)
+    assert [r.N for r in records] == CLASSICS_1E5
+    for r in records:
+        assert r.ps_status == tuple(is_ps_value(p, c).is_member for p in r.factors.primes())

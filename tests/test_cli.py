@@ -214,9 +214,10 @@ def test_bt_ratio_refuses_a_large_modulus(capsys):
 
 
 def test_threads_flag_deterministic(capsys, tmp_path):
-    # sum eval is the one pooled command; 300 x 300 terms span two 2^16-term
-    # chunks, so its default pool of one worker per CPU may run them apart,
-    # and it prints the one-worker value all the same
+    # sum eval is the one pooled command; 300 x 300 terms make three blocks
+    # of whole 300-term rows, at most 2^15 terms each, so its pool of one
+    # worker per CPU may run them apart, and it prints the one-worker value
+    # all the same
     inst = tmp_path / "inst.json"
     inst.write_text(
         json.dumps(

@@ -17,6 +17,7 @@ from pslab import (
     floor_pow_bulk,
     integer_root,
     is_ps_value,
+    is_ps_value_bulk,
     ps_values_in,
 )
 
@@ -260,9 +261,9 @@ def _record_band(monkeypatch):
     settled = []
     settle = pscore._settle_band
 
-    def recorded(ns, m, c, tol):
+    def recorded(ns, m, a, b, tol):
         settled.extend(ns.tolist())
-        return settle(ns, m, c, tol)
+        return settle(ns, m, a, b, tol)
 
     monkeypatch.setattr(pscore, "_settle_band", recorded)
     return settled
@@ -301,6 +302,64 @@ def test_floor_pow_bulk_repair_band_keeps_its_margin_when_pow_is_the_budget(monk
     must = set(ns[dist < 10.0 * float(worst)].tolist())
     assert worst > 0 and must and must <= set(settled)
     assert len(settled) < 0.06 * ns.size
+
+
+def test_floor_pow_bulk_repair_band_keeps_its_margin_below_one(monkeypatch):
+    # is_ps_value_bulk roots k at the inverse exponent q/p; 20/21 is not
+    # dyadic, so rounding it to float64 joins pow's error in the budget
+    mpmath = pytest.importorskip("mpmath")
+    ns = np.arange(10**12, 10**12 + 4000, dtype=np.int64)
+    settled = _record_band(monkeypatch)
+    pscore._floor_pow_bulk(ns, 20, 21)
+    v = np.power(ns.astype(np.float64), 20 / 21)
+    with mpmath.workprec(160):
+        e = mpmath.mpf(20) / 21
+        worst = max(abs(mpmath.mpf(float(vi)) - mpmath.mpf(int(n)) ** e) for n, vi in zip(ns, v))
+    dist = np.minimum(v - np.floor(v), np.ceil(v) - v)
+    must = set(ns[dist < 10.0 * float(worst)].tolist())
+    assert worst > 0 and must and must <= set(settled)
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (7, 10), (20, 21), (1000, 1001), (150000, 300001)])
+def test_floor_pow_bulk_below_one_matches_floor_pow(a, b):
+    # the inverse exponents of is_ps_value_bulk: perfect b-th powers and
+    # their neighbours, and windows at 1, 10^9, 2^53 and 2^62, past which
+    # an exponent above 62/63 takes the object path
+    ns = [m**b + d for m in (2, 3, 7, 1000, 2**20) if m.bit_length() * b < 62 for d in (-1, 0, 1)]
+    for start in (1, 10**9, 2**53 - 50, 2**62):
+        ns += range(start, start + 100)
+    got = pscore._floor_pow_bulk(np.array(ns, dtype=np.int64), a, b)
+    assert got.dtype == (object if 63 * a > 62 * b else np.int64)
+    assert [int(v) for v in got] == [pscore._floor_pow(n, a, b) for n in ns]
+
+
+C_MEMBERSHIP = [ExponentC(*pq) for pq in [(3, 2), (8, 7), (17, 10), (21, 20), (1001, 1000), (300001, 150000)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.sampled_from(C_MEMBERSHIP), data=st.data())
+def test_is_ps_value_bulk_matches_is_ps_value(c, data):
+    # values and their neighbours, perfect p-th powers (the one case where
+    # floor(k^(1/c)) itself is the preimage) and their neighbours, k = 1,
+    # and k around the value of the last n on floor_pow_bulk's int64 path
+    top = 2 ** _fit_bits(c) - 1
+    k_top = floor_pow(top, c)
+    bits = data.draw(st.integers(1, _fit_bits(c)))
+    n = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    m = data.draw(st.integers(1, integer_root(k_top, c.p)))
+    ks = [floor_pow(n, c) + d for d in (-1, 0, 1)] + [m**c.p + d for d in (-1, 0, 1)]
+    ks = [k for k in ks + [1, k_top - 1, k_top, k_top + 1] if k >= 1]
+    got = is_ps_value_bulk(np.array(ks, dtype=np.int64), c)
+    assert got.dtype == bool
+    assert got.tolist() == [is_ps_value(k, c).is_member for k in ks]
+
+
+def test_is_ps_value_bulk_edges():
+    assert is_ps_value_bulk(np.empty(0, dtype=np.int64), C32).tolist() == []
+    # 1 = 1^c, 8 = 4^(3/2) and 27 = 9^(3/2) are values only by n0 = floor(k^(2/3))
+    assert is_ps_value_bulk(np.array([1, 2, 3, 8, 27]), C32).tolist() == [True, True, False, True, True]
+    with pytest.raises(ValidationError):
+        is_ps_value_bulk(np.array([5, 0]), C32)
 
 
 C_WINDOWS = [ExponentC(*pq) for pq in [(3, 2), (8, 7), (17, 10), (21, 20), (1001, 1000)]]

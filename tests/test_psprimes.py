@@ -203,13 +203,12 @@ def test_ps_primes_in_a_progression_are_a_fresh_selection():
 
 
 def test_dropped_member_is_a_route_disagreement(monkeypatch):
-    generate = psprimes.value_blocks
+    bulk = psprimes.is_ps_value_bulk
 
-    def without_two(lo, hi, c):  # 2 = floor(2^(3/2)) is the first prime, always sampled
-        for vals in generate(lo, hi, c):
-            yield vals[vals != 2]
+    def without_two(ks, c):  # 2 = floor(2^(3/2)) is the first prime, always sampled
+        return bulk(ks, c) & (ks != 2)
 
-    monkeypatch.setattr(psprimes, "value_blocks", without_two)
+    monkeypatch.setattr(psprimes, "is_ps_value_bulk", without_two)
     psprimes._ps_prime_mask_cached.cache_clear()
     try:
         with pytest.raises(RouteDisagreementError):

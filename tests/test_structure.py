@@ -63,9 +63,15 @@ def test_one_membership_lookup():
     lookup = r"np\.minimum\(np\.searchsorted"
     assert _count(lookup) == 1 and re.search(lookup, SOURCES["pscore.py"])
     assert "def in_sorted(" in SOURCES["pscore.py"] and "in_sorted(" in SOURCES["experiments.py"]
-    # psprimes decides primality only through the sieve's bitmap
-    assert "in_sorted" not in SOURCES["psprimes.py"]
-    assert SOURCES["psprimes.py"].count(".contains(") == 1
+    # psprimes decides membership only through is_ps_value_bulk over the
+    # sieve's primes, with is_ps_value as the sampled witness; it generates
+    # no values and reads no bitmap
+    psprimes = SOURCES["psprimes.py"]
+    assert "in_sorted" not in psprimes
+    assert re.search(r"value_blocks|floor_pow|\.contains\(", psprimes) is None
+    in_psprimes = [f for name, f in _sites(r"\bis_ps_value(_bulk)?\(") if name == "psprimes.py"]
+    assert in_psprimes == ["_ps_prime_mask_cached"] * 2
+    assert psprimes.count("is_ps_value_bulk(") == 1
     assert "is_ps_value(" not in SOURCES["experiments.py"]
 
 
@@ -136,7 +142,8 @@ def test_one_value_generator():
     from pslab import arith
 
     assert _count(r"_values_upto|ps_value_chunks") == 0
-    # every value array is built by pscore.value_blocks, block by block
-    assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "value_blocks")]
+    # every value array is built by pscore.value_blocks, block by block;
+    # is_ps_value_bulk is the one other caller, for its candidate preimages
+    assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "is_ps_value_bulk"), ("pscore.py", "value_blocks")]
     # and factor_stream factors what it is given, with no slicing of its own
     assert "CHUNK" not in inspect.getsource(arith.factor_stream)
