@@ -91,6 +91,31 @@ def test_sieve_is_shared_and_read_only():
         sieve.primes[0] = 4
 
 
+def _assert_bitmap_matches_primes(limit):
+    # the sieve's primes read as a membership mask over 0..limit+1: it flags
+    # exactly the primes up to limit (against the simple sieve everywhere and
+    # against is_prime in the last 256 entries), and never limit + 1
+    sieve = primes_up_to(limit)
+    got = np.zeros(limit + 2, dtype=bool)
+    got[sieve.primes] = True
+    want = np.zeros(limit + 2, dtype=bool)
+    want[_simple_sieve(limit)] = True
+    assert np.array_equal(got, want), limit
+    tail = range(max(limit - 256, 0), limit + 2)
+    assert [bool(got[v]) for v in tail] == [v <= limit and is_prime(v) for v in tail], limit
+
+
+@pytest.mark.parametrize("limit", [*range(41), *(2 * SEGMENT_SIZE + d for d in (-1, 0, 1, 2))])
+def test_sieve_bitmap_matches_primes(limit):
+    _assert_bitmap_matches_primes(limit)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 3 * 2**20))
+def test_sieve_bitmap_matches_primes_property(limit):
+    _assert_bitmap_matches_primes(limit)
+
+
 def test_is_prime_small_and_bases():
     sieve = primes_up_to(10**4).primes
     marks = np.zeros(10**4 + 1, dtype=bool)
