@@ -73,7 +73,6 @@ def sweep_trilinear() -> float:
         inst = SumInstance(
             MonomialPhase(F_target / abs(scale), ((0, alpha), (1, beta), (2, gamma_e))),
             ((M, True), (M1, True), (M2, True)),
-            seed=TRILINEAR_SEED,
         )
         N = M1 * M2
         F = abs(inst.phase.A) * (2 * M) ** alpha * (2 * M1) ** beta * (2 * M2) ** gamma_e

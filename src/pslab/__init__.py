@@ -13,7 +13,6 @@ from .arith import (
     is_squarefree,
     is_squarefree_bulk,
     largest_prime_factor,
-    mobius_up_to,
     primes_up_to,
 )
 from .carmichael import (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, gcd, isqrt, log, prod
+from math import gcd, isqrt, log, prod
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .pscore import integer_root
 
 SIEVE_LIMIT_GUARD = 10**9
 FACTOR_GUARD = 10**14
-MOBIUS_LIMIT_GUARD = 10**8
 # factor_stream's limit: its cube root, 10^4, ends _SMALL_PRIMES; it lies
 # below 2^40, where _mulmod's 20-bit halves stay exact in int64, and below
 # 1.122e12, where _MR_BASES are proven complete
@@ -63,12 +62,6 @@ class FactorMap:
             raise ValidationError("factor entries must have strictly increasing primes")
         if any(e < 1 for _, e in self.entries):
             raise ValidationError("factor exponents must be >= 1")
-
-    def product(self) -> int:
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.entries)
@@ -282,21 +275,16 @@ class FactorStream:
         return (self.cofactor > 1) & (self.root * self.root == self.cofactor)
 
     def log_terms(self) -> list[float]:
-        """The terms whose sum is log_sum: hits * log p for each prime up to
-        the bound that divides a value, then log r, or log sqrt(r) when
-        r = p^2, for each cofactor r > 1, so no cofactor is split.  A caller
-        that factors block by block feeds every block's terms to one
-        math.fsum, which is correctly rounded and so independent of order."""
+        """The terms whose sum is the sum over values of log p over the
+        distinct primes p | value: hits * log p for each prime up to the
+        bound that divides a value, then log r, or log sqrt(r) when r = p^2,
+        for each cofactor r > 1, so no cofactor is split.  A caller that
+        factors block by block feeds every block's terms to one math.fsum,
+        which is correctly rounded and so independent of order."""
         r = np.where(self.square, self.root, self.cofactor)
         terms = [h * log(p) for p, h in zip(self.primes.tolist(), self.hits.tolist()) if h]
         terms += np.log(r[r > 1].astype(np.float64)).tolist()
         return terms
-
-    @property
-    def log_sum(self) -> float:
-        """sum over values of log p over the distinct primes p | value: one
-        math.fsum of log_terms()."""
-        return fsum(self.log_terms())
 
     def largest_prime(self) -> np.ndarray:
         """P(value) for every value, 1 for the value 1.
@@ -485,34 +473,6 @@ def factor_stream(values: np.ndarray) -> FactorStream:
 def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:
     """Vectorized squarefree test for int64 values up to SQUAREFREE_BULK_MAX."""
     return factor_stream(values).squarefree
-
-
-def mobius_up_to(limit: int) -> np.ndarray:
-    """Table of Moebius mu(d) for 0 <= d <= limit (index 0 is set to 0).
-
-    Each prime p <= sqrt(limit) flips the sign of its multiples and zeroes
-    the multiples of p^2.  A larger prime's multiples are j*p with
-    j < sqrt(limit), so one vectorized flip per j covers them all.
-    """
-    check_range(limit, 1, MOBIUS_LIMIT_GUARD, "mobius", name="limit")
-    primes = primes_up_to(limit).primes
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    root = isqrt(limit)
-    split = int(np.searchsorted(primes, root, side="right"))
-    small, large = primes[:split], primes[split:]
-    for p in small.tolist():
-        np.negative(mu[p::p], out=mu[p::p])
-        mu[p * p :: p * p] = 0
-    # j*p for distinct large p are distinct, since p > sqrt(limit) > j; j = 1
-    # indexes by the primes themselves, with no product array
-    mu[large] = -mu[large]
-    for j in range(2, root + 1):
-        idx = j * large[: int(np.searchsorted(large, limit // j, side="right"))]
-        if idx.size == 0:
-            break
-        mu[idx] = -mu[idx]
-    return mu
 
 
 def euler_phi(d: int) -> int:

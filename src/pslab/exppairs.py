@@ -13,7 +13,6 @@ from math import gcd
 from .errors import ValidationError
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

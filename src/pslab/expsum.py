@@ -140,7 +140,6 @@ class SumInstance:
     ranges: tuple[tuple[int, bool], ...]
     weights: Optional[tuple[Optional[Callable], ...]] = None
     joint_weight: Optional[Callable] = None
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.ranges:
@@ -171,7 +170,6 @@ class SumInstance:
                 "exponents": [[v, e] for v, e in self.phase.exponents],
             },
             "ranges": [[M, bool(d)] for M, d in self.ranges],
-            "seed": self.seed,
         }
         if self.phase.shift:
             obj["phase"]["shift"] = self.phase.shift
@@ -185,10 +183,9 @@ class SumInstance:
             exponents = tuple((int(v), float(e)) for v, e in obj["phase"]["exponents"])
             shift = float(obj["phase"].get("shift", 0.0))
             ranges = tuple((int(M), bool(d)) for M, d in obj["ranges"])
-            seed = obj.get("seed")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed sum instance ({type(exc).__name__}: {exc})") from exc
-        return cls(phase=MonomialPhase(A, exponents, shift), ranges=ranges, seed=seed)
+        return cls(phase=MonomialPhase(A, exponents, shift), ranges=ranges)
 
 
 def eval_sum(instance: SumInstance, threads: int = 1) -> complex:

@@ -1,9 +1,15 @@
 """Exact arithmetic for the Piatetski-Shapiro map n -> floor(n^c).
 
 The exponent c is restricted to non-integer rationals p/q > 1.  Every
-placement of an integer against a power n^(a/b) (a floor value, membership
-in the value set, P > n^e) goes through one exact floor of n^(a/b), so no
-result ever depends on floating-point rounding.
+placement of an integer against a power n^(a/b) made here (a floor value,
+membership in the value set, ``exceeds``) goes through one exact floor of
+n^(a/b), so no result ever depends on floating-point rounding.
+
+One placement rests on a second error argument: experiments._exceeds_power
+settles P > n^e in float64 outside a relative band of 2^-30 around n^e, far
+above the float error of either side, and hands only the band to
+``exceeds``; comparing with _floor_pow_bulk instead agreed but cost more
+time and memory (README, pslab.pscore).
 """
 from __future__ import annotations
 

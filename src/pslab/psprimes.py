@@ -75,11 +75,10 @@ def _chunked_sum(v: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=1)  # the name predates the array it holds; perfbench clears it by name
-def _ps_prime_mask_cached(x: int, p: int, q: int) -> np.ndarray:
+def _ps_prime_mask_cached(x: int, c: ExponentC) -> np.ndarray:
     """The sequence primes <= x: the sieve's primes that is_ps_value_bulk
     finds to be values, CHUNK primes at a time; is_ps_value re-decides a
     sample."""
-    c = ExponentC(p, q)
     primes = primes_up_to(x).primes
     if primes.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -107,7 +106,7 @@ def ps_primes_up_to(x: int, c: ExponentC, d: int = 1, a: int = 0) -> np.ndarray:
     """The sequence primes p <= x with p = a (mod d), found by testing each
     prime's membership: a fresh array, selected from the cached one."""
     _check_progression(x, d)
-    ps = _ps_prime_mask_cached(x, c.p, c.q)
+    ps = _ps_prime_mask_cached(x, c)
     return ps.copy() if d == 1 else _in_progression(ps, d, a)
 
 

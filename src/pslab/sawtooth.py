@@ -132,8 +132,9 @@ def erdos_turan_rhs(points, H: int) -> float:
     t = np.ravel(np.asarray(points, dtype=np.float64))
     if t.size == 0:
         raise ValidationError("erdos_turan_rhs needs at least one point")
+    blocks = _blocks(t, H)  # the points x H guard, before S is allocated
     S = np.zeros(H, dtype=np.complex128)
-    for b in _blocks(t, H):
+    for b in blocks:
         for h, zh in enumerate(_powers(t[b], H)):
             S[h] += zh.sum()
     hs = np.arange(1, H + 1, dtype=np.float64)

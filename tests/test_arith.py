@@ -15,7 +15,6 @@ from pslab import (
     is_squarefree,
     is_squarefree_bulk,
     largest_prime_factor,
-    mobius_up_to,
     primes_up_to,
 )
 from pslab.arith import SEGMENT_SIZE, _simple_sieve
@@ -140,7 +139,7 @@ def test_factorize_recompose_randomized():
         for m in rng.integers(lo, min(hi, 10**14), count):
             m = int(m)
             fm = factorize(m)
-            assert fm.product() == m
+            assert math.prod(p**e for p, e in fm.entries) == m
             assert all(is_prime(p) for p, _ in fm.entries)
 
 
@@ -195,7 +194,7 @@ def _assert_matches_factorize(values):
     assert fs.squarefree.tolist() == [f.is_squarefree() for f in fms]
     assert fs.largest_prime().tolist() == [f.max_prime() if f.entries else 1 for f in fms]
     logs = math.fsum(math.log(p) for f in fms for p in f.primes())
-    assert fs.log_sum == pytest.approx(logs, rel=1e-12, abs=0.0)
+    assert math.fsum(fs.log_terms()) == pytest.approx(logs, rel=1e-12, abs=0.0)
 
 
 # trial division stops at cbrt(10^12) = 10^4; 10007 is the first prime above,
@@ -260,20 +259,20 @@ def test_factor_stream_refuses_out_of_range_values():
         factor_stream(np.array([10**12 + 1], dtype=np.int64))
     with pytest.raises(ValidationError):
         factor_stream(np.array([0, 5], dtype=np.int64))
-    assert factor_stream(np.zeros(0, dtype=np.int64)).log_sum == 0.0
+    assert factor_stream(np.zeros(0, dtype=np.int64)).log_terms() == []
 
 
 def test_log_sum_equals_one_list_fsum():
     from pslab.pscore import CHUNK
 
-    # more cofactors above 1 than one CHUNK: log_sum is one fsum of all of
-    # log_terms()
+    # more cofactors above 1 than one CHUNK: log_terms() lists every prime's
+    # term and then every cofactor's, all in one list for one fsum
     vals = np.arange(10**6, 10**6 + 3 * CHUNK, dtype=np.int64) ** 2 // 7 + 1
     fs = factor_stream(vals)
     r = np.where(fs.square, fs.root, fs.cofactor)
     assert int(np.count_nonzero(r > 1)) > CHUNK
     terms = [h * math.log(p) for p, h in zip(fs.primes.tolist(), fs.hits.tolist()) if h]
-    assert fs.log_sum == math.fsum(terms + np.log(r[r > 1].astype(np.float64)).tolist())
+    assert fs.log_terms() == terms + np.log(r[r > 1].astype(np.float64)).tolist()
 
 
 def _stream_near(top, seed):
@@ -360,57 +359,9 @@ def test_rho_split_bulk_gives_proper_factors():
     assert all(1 < x < v and v % x == 0 for x, v in zip(d.tolist(), n.tolist()))
 
 
-def test_mobius_values():
-    mu = mobius_up_to(100)
-    assert mu[1] == 1 and mu[2] == -1 and mu[4] == 0 and mu[30] == -1
-    assert mu[36] == 0 and mu[6] == 1
-
-
-def test_mobius_partial_series():
-    mu = mobius_up_to(10**4)
-    d = np.arange(1, 10**4 + 1, dtype=np.float64)
-    partial = float(np.sum(mu[1:].astype(np.float64) / d**2))
-    assert abs(partial - 0.60793) < 5e-4  # partial sum of 6/pi^2
-
-
-def test_mobius_squarefree_crosscheck():
-    # sum |mu(d)| counts the squarefree d, which factorize must reproduce
-    N = 10**4
-    mu = mobius_up_to(N)
-    assert int(np.sum(np.abs(mu[1:]))) == sum(1 for d in range(1, N + 1) if is_squarefree(d))
-
-
-def test_mobius_matches_factorize_pointwise():
-    mu = mobius_up_to(2000)
-    for d in range(1, 2001):
-        fm = factorize(d)
-        expected = 0 if not fm.is_squarefree() else (-1) ** len(fm.entries)
-        assert mu[d] == expected
-
-
-def test_mobius_mertens_values():
-    # Mertens function M(x) = sum of mu(d) for d <= x
-    for limit, mertens in ((10**6, 212), (10**7, 1037)):
-        assert int(mobius_up_to(limit)[1:].sum(dtype=np.int64)) == mertens
-
-
-def _brute_mobius(d):
-    out = 1
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if d > 1 else out
-
-
-def test_mobius_matches_brute_force_at_every_small_limit():
-    brute = np.array([0] + [_brute_mobius(d) for d in range(1, 3001)], dtype=np.int8)
-    for limit in range(1, 3001):
-        assert np.array_equal(mobius_up_to(limit), brute[: limit + 1]), limit
+def test_squarefree_count_to_10_4():
+    # Q(10^4), the count of squarefree d <= 10^4, checked by brute force
+    assert sum(is_squarefree(d) for d in range(1, 10**4 + 1)) == 6083
 
 
 def test_euler_phi():

@@ -219,14 +219,15 @@ def test_json_round_trip():
     inst = SumInstance(
         MonomialPhase(0.25, ((0, 1.5), (1, -0.5)), shift=0.125),
         ((100, True), (50, False)),
-        seed=99,
     )
     back = SumInstance.from_json(inst.to_json())
     assert back.phase == inst.phase
     assert back.ranges == inst.ranges
-    assert back.seed == 99
     obj = json.loads(inst.to_json())
-    assert set(obj) == {"phase", "ranges", "seed"}
+    assert set(obj) == {"phase", "ranges"}
+    # older instance files carry "seed": null; keys nothing reads are ignored
+    obj["seed"] = None
+    assert SumInstance.from_json(json.dumps(obj)) == back
 
 
 def test_bound_formula_values():
@@ -315,7 +316,6 @@ def _trilinear_corpus(seed, count):
         yield SumInstance(
             MonomialPhase(F_target / abs(scale), ((0, alpha), (1, beta), (2, gamma_e))),
             ((M, True), (M1, True), (M2, True)),
-            seed=seed,
         )
 
 

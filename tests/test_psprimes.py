@@ -197,7 +197,7 @@ def test_ps_primes_in_a_progression_are_a_fresh_selection():
         assert ps.tolist() == [p for p in every.tolist() if p % d == a % d]
         ps[:1] = 0  # the caller's own array; the cached one is read-only
     assert ps_primes_up_to(10**4, c).tolist() == every.tolist()
-    assert not psprimes._ps_prime_mask_cached(10**4, c.p, c.q).flags.writeable
+    assert not psprimes._ps_prime_mask_cached(10**4, c).flags.writeable
     with pytest.raises(ValidationError):
         ps_primes_up_to(10**4, c, 0, 1)
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,12 @@ def test_kernel_matrices_refused_before_allocation():
     for call in (k.approx, k.majorant, lambda pts: erdos_turan_rhs(pts, H)):
         with pytest.raises(GuardError):
             call(t)
+    # one point: H alone passes the guard, where S would take 16 H bytes
+    for H in (10**9, 10**11):
+        t0 = time.perf_counter()
+        with pytest.raises(GuardError):
+            erdos_turan_rhs([0.25], H)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def _cos_sin_reduced(t, hs):

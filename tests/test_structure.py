@@ -120,7 +120,8 @@ def test_guard_errors_come_from_the_range_check():
 
 def test_one_rational_parser():
     assert _count(r'partition\("/"\)') == 1
-    assert _count(r"_exceeds_power_exact|_check_cells|RunConfig|_parse_fraction") == 0
+    assert _count(r"_exceeds_power_exact|_check_cells|RunConfig|_parse_fraction"
+                  r"|mobius_up_to|MOBIUS_LIMIT_GUARD|log_sum") == 0
 
 
 def test_no_knobs_with_one_value_in_use():
