@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import fsum, isfinite, log
+from math import fsum, log
 from typing import Callable, Union
 
 import numpy as np
@@ -176,16 +176,19 @@ def large_pf_exceed(x: int, c: ExponentC, theta: Exponent, eps: Exponent) -> Exp
     report's extras carry the deciles of log P(floor(n^c)) / log n, the
     empirical distribution behind the lower-bound exponent.
     """
-    if not (isfinite(theta) and isfinite(eps)):
-        raise ValidationError(f"theta={theta} and eps={eps} must be finite")
+    try:  # Fraction refuses nan and inf; float refuses a Fraction beyond float64
+        e = Fraction(theta) - Fraction(eps)
+        float(e)  # _exceeds_power takes float(e)
+        params = {"x": x, "c": str(c), "theta": float(theta), "eps": float(eps)}
+    except (OverflowError, ValueError) as exc:
+        raise ValidationError(f"theta={theta}, eps={eps} and theta - eps must be finite in float64") from exc
     check_range(x, 2, 10**6, "largest-prime")
     _check_values(x, c)
     t0 = time.perf_counter()
     ns, P = _largest_primes(x, c)
-    observed = int(np.sum(_exceeds_power(P, ns, Fraction(theta) - Fraction(eps))))
+    observed = int(np.sum(_exceeds_power(P, ns, e)))
     exponents = np.log(P.astype(np.float64)) / np.log(ns.astype(np.float64))
     deciles = {f"d{k}0": float(np.percentile(exponents, 10 * k)) for k in range(1, 10)}
-    params = {"x": x, "c": str(c), "theta": float(theta), "eps": float(eps)}
     return ExperimentReport("large_pf_exceed", params, float(observed), float(x), _ms_since(t0), deciles)
 
 

@@ -296,8 +296,17 @@ def _bounded(w) -> np.ndarray:
 # closed-form bound calculators
 # ---------------------------------------------------------------------------
 
+def _check_finite(**args: float) -> None:
+    """The bound calculators refuse nan, which is false under every
+    comparison, and inf, which makes the bound inf or nan."""
+    for name, v in args.items():
+        if not math.isfinite(v):
+            raise ValidationError(f"{name}={v} must be finite")
+
+
 def bound_second_derivative(N: float, lam: float) -> float:
     """Van der Corput bound N*lam^(1/2) + lam^(-1/2) for |f''| ~ lam."""
+    _check_finite(N=N, lam=lam)
     if lam <= 0:
         raise ValidationError(f"lambda={lam} must be positive")
     return N * math.sqrt(lam) + 1.0 / math.sqrt(lam)
@@ -305,6 +314,7 @@ def bound_second_derivative(N: float, lam: float) -> float:
 
 def bound_third_derivative(N: float, lam: float) -> float:
     """Van der Corput bound N*lam^(1/6) + N^(3/4) + N^(1/4)*lam^(-1/4) for |f'''| ~ lam."""
+    _check_finite(N=N, lam=lam)
     if lam <= 0:
         raise ValidationError(f"lambda={lam} must be positive")
     return N * lam ** (1.0 / 6.0) + N**0.75 + N**0.25 * lam**-0.25
@@ -313,6 +323,7 @@ def bound_third_derivative(N: float, lam: float) -> float:
 def bound_kusmin_landau(N: float, lam: float) -> float:
     """Kusmin-Landau bound cot(pi*lam/2), valid for monotone f' staying at
     distance >= lam from the integers; independent of the range length."""
+    _check_finite(N=N, lam=lam)
     if not (0.0 < lam <= 0.5):
         raise ValidationError(f"lambda={lam} outside (0, 1/2]")
     return 1.0 / math.tan(math.pi * lam / 2.0)
@@ -335,6 +346,7 @@ _TRILINEAR_TERMS = (
 def bound_trilinear(M: float, N: float, F: float) -> float:
     """Nine-term bound for the trilinear monomial sum, with N = M1*M2 and
     F the size of the phase over the ranges."""
+    _check_finite(M=M, N=N, F=F)
     if M < 1 or N < 1:
         raise ValidationError("M and N must be >= 1")
     if F <= 0:

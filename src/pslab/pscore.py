@@ -24,6 +24,9 @@ from .errors import ValidationError, check_range
 
 CHUNK = 1 << 16  # fixed reduction and generation chunk, keeps float sums deterministic
 DECOMPOSITION_K_GUARD = 10**8
+# preimages walked by ps_values_in, one exact floor each: up to about 0.85 ms
+# each at exponents like 701/700, where n^a falls just under EXACT_BITS bits
+PS_VALUES_GUARD = 2 * 10**4
 EXACT_BITS = 1 << 15  # n^a up to this many bits is rooted in integers (see _floor_pow)
 INTERVAL_ORDER_MIN = 16  # an enclosure of n^(a/b) needs about bits(n^a)/b bits: it pays for large b
 
@@ -208,11 +211,13 @@ def ps_values_in(lo: int, hi: int, c: ExponentC) -> Iterator[PsWitness]:
     """Stream the values of the sequence inside [lo, hi], in increasing order,
     from the preimage floor(lo^(1/c)), whose value is at most lo; floor(n^c)
     strictly increases with n.  Unlike value_blocks it takes a range of
-    values, not of preimages.
+    values, not of preimages.  The preimages to walk are counted first, and
+    more than PS_VALUES_GUARD of them raise GuardError before any value.
     """
     if lo < 1 or hi < lo:
         raise ValidationError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     n = _floor_pow(lo, c.q, c.p)
+    check_range(last_preimage(hi, c) - n + 1, 1, PS_VALUES_GUARD, "value-stream", name="preimages")
     while (k := _floor_pow(n, c.p, c.q)) <= hi:
         if k >= lo:
             yield PsWitness(k, n)

@@ -4,12 +4,19 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pslab import experiments as xp
+from pslab import expsum, psprimes
+from pslab.carmichael import is_ps_carmichael
 from pslab.cli import main
+from pslab.exppairs import lpf_exponent
 from pslab.expsum import SumInstance, eval_sum
+from pslab.pscore import ExponentC, count_decomposition
 
 
 def run(capsys, *argv):
@@ -287,4 +294,146 @@ def test_pairs_rationals_need_a_positive_denominator(capsys, text):
 
 def test_carmichael_search_refuses_a_negative_limit(capsys):
     code, out, err = run(capsys, "carmichael", "search", "--limit=-1", "--c", "1001/1000")
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+# one success-path test per leaf that had none; each compares the printed
+# value with the library call's own result
+
+
+def _report(r):
+    obj = json.loads(r.to_json())
+    del obj["runtime_ms"]
+    return obj
+
+
+def _printed_reports(out):
+    objs = [json.loads(line) for line in out.strip().splitlines()]
+    for obj in objs:
+        del obj["runtime_ms"]
+    return objs
+
+
+def test_ps_decompose(capsys):
+    main_, corr, exact = count_decomposition(1000, ExponentC(3, 2), np.ones_like)
+    code, out, _ = run(capsys, "ps", "decompose", "--K", "1000", "--c", "3/2")
+    assert code == 0
+    assert out == f"main={main_!r} correction={corr!r} exact={exact!r} residual={exact-main_-corr!r}\n"
+
+
+def test_pairs_exponent_table(capsys):
+    code, out, _ = run(capsys, "pairs", "exponent-table", "--samples", "4")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "# c\texponent"
+    lo, hi = Fraction(243, 205), Fraction(2)
+    cs = [lo + (hi - lo) * Fraction(i, 4) for i in range(4)]
+    assert lines[1:] == [f"{c.numerator}/{c.denominator}\t{float(lpf_exponent(c))!r}" for c in cs]
+
+
+def test_experiment_smooth(capsys):
+    code, out, _ = run(
+        capsys, "experiment", "smooth", "--x", "1000", "--c", "3/2", "--eps", "0.3",
+        "--series", "500,1000", "--format", "json",
+    )
+    assert code == 0
+    assert _printed_reports(out) == [_report(xp.smooth_count(x, ExponentC(3, 2), 0.3)) for x in (500, 1000)]
+
+
+def test_experiment_largepf(capsys):
+    theta = lpf_exponent(Fraction(8, 5))
+    code, out, _ = run(capsys, "experiment", "largepf", "--x", "1000", "--c", "8/5", "--format", "json")
+    assert code == 0
+    assert _printed_reports(out) == [_report(xp.large_pf_exceed(1000, ExponentC(8, 5), theta, 0.05))]
+
+
+def test_experiment_largepf_deciles_by_c(capsys):
+    code, out, _ = run(
+        capsys, "experiment", "largepf", "--x", "1000", "--c", "8/5",
+        "--c-list", "3/2,8/5", "--theta", "0.3", "--eps", "0.01", "--format", "tsv-plot",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "# " + "\t".join(["c"] + [f"d{k}0" for k in range(1, 10)])
+    for line, c in zip(lines[1:], (ExponentC(3, 2), ExponentC(8, 5)), strict=True):
+        extras = xp.large_pf_exceed(1000, c, 0.3, 0.01).extras
+        assert line == "\t".join([str(c)] + [repr(extras[f"d{k}0"]) for k in range(1, 10)])
+
+
+def test_experiment_squaredivisor(capsys):
+    lhs, rhs = xp.square_divisor_sum(1000, ExponentC(3, 2), 5, np.ones_like)
+    code, out, _ = run(capsys, "experiment", "squaredivisor", "--x", "1000", "--c", "3/2", "--D", "5")
+    assert code == 0 and out == f"lhs={lhs!r} rhs={rhs!r}\n"
+
+
+def test_experiment_convolution(capsys):
+    total = xp.convolution_count(1000, ExponentC(3, 2), np.ones_like)
+    code, out, _ = run(capsys, "experiment", "convolution", "--x", "1000", "--c", "3/2")
+    assert code == 0 and out == f"{total!r}\n"
+
+
+def test_primes_log_weight(capsys):
+    code, out, _ = run(capsys, "primes", "log-weight", "--x", "1000", "--d", "4", "--a", "1")
+    assert code == 0 and out == f"{psprimes.theta_ap(1000, 4, 1)!r}\n"
+    value = psprimes.vartheta_c_ap(psprimes.ApQuery(1000, 4, 1, ExponentC(21, 20)))
+    code, out, _ = run(capsys, "primes", "log-weight", "--x", "1000", "--d", "4", "--a", "1", "--c", "21/20")
+    assert code == 0 and out == f"{value!r}\n"
+
+
+def test_carmichael_check(capsys):
+    c = ExponentC(1001, 1000)
+    code, out, _ = run(capsys, "carmichael", "check", "--N", "561", "--c", "1001/1000")
+    assert code == 0 and out == is_ps_carmichael(561, c).to_json_line(c) + "\n"
+    assert is_ps_carmichael(560, c) is None
+    code, out, _ = run(capsys, "carmichael", "check", "--N", "560", "--c", "1001/1000")
+    assert code == 0 and out == "560 rejected\n"
+
+
+@pytest.mark.parametrize(
+    "kind, bound, lam",
+    [
+        ("vdc2", expsum.bound_second_derivative, 0.5),
+        ("vdc3", expsum.bound_third_derivative, 0.5),
+        ("kusmin-landau", expsum.bound_kusmin_landau, 0.25),
+    ],
+)
+def test_sum_bound_kinds(capsys, kind, bound, lam):
+    code, out, _ = run(capsys, "sum", "bound", "--kind", kind, "--N", "10", "--lam", str(lam))
+    assert code == 0 and out == f"{bound(10.0, lam)!r}\n"
+
+
+def test_ps_values_refuses_a_range_past_its_guard(capsys):
+    # 10^6 preimages, each with one exact floor
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "ps", "values", "--lo", "1", "--hi", str(10**9), "--c", "3/2")
+    assert code == 3 and out == "" and "guard" in err.lower()
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("samples, code_", [("0", 2), ("-3", 2), (str(10**5 + 1), 3)])
+def test_exponent_table_checks_samples_before_the_loop(capsys, samples, code_):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "pairs", "exponent-table", "--samples", samples)
+    assert code == code_ and out == "" and _one_error_line(err) and "--samples" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_largepf_refuses_theta_minus_eps_beyond_float64(capsys):
+    code, out, err = run(
+        capsys, "experiment", "largepf", "--x", "100", "--c", "3/2", "--theta", "1e308", "--eps=-1e308"
+    )
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "vdc2", "--N", "10", "--lam", "nan"],
+        ["--kind", "vdc3", "--N", "10", "--lam", "inf"],
+        ["--kind", "kusmin-landau", "--N", "nan", "--lam", "0.25"],
+        ["--kind", "trilinear", "--M", "nan", "--N", "5", "--F", "1"],
+    ],
+)
+def test_sum_bound_refuses_non_finite_arguments(capsys, argv):
+    code, out, err = run(capsys, "sum", "bound", *argv)
     assert code == 2 and out == "" and _one_error_line(err)

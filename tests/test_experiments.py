@@ -181,6 +181,17 @@ def test_large_pf_refuses_infinite_exponent():
         large_pf_exceed(1000, C32, math.inf, 0.05)
 
 
+@pytest.mark.parametrize(
+    "theta, eps",
+    [(Fraction(10**400), 0), (1e308, -1e308), (0.3, Fraction(-(10**400))), (math.nan, 0.05)],
+)
+def test_large_pf_refuses_exponents_beyond_float64(theta, eps):
+    # theta, eps or theta - eps beyond float64 is a ValidationError, not an
+    # OverflowError from the float conversions; nan fails Fraction()
+    with pytest.raises(ValidationError):
+        large_pf_exceed(100, C32, theta, eps)
+
+
 def test_large_pf_deciles_present():
     r = large_pf_exceed(1000, C32, 0.3, 0.05)
     assert set(r.extras) == {f"d{k}0" for k in range(1, 10)}

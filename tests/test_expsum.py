@@ -259,6 +259,25 @@ def test_bound_domains():
         bound_trilinear(1, 1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bounds_refuse_non_finite_arguments(bad):
+    # nan is false under every comparison check, so each argument is checked for it
+    calls = [
+        lambda: bound_second_derivative(10.0, bad),
+        lambda: bound_second_derivative(bad, 0.5),
+        lambda: bound_third_derivative(10.0, bad),
+        lambda: bound_third_derivative(bad, 0.5),
+        lambda: bound_kusmin_landau(10.0, bad),
+        lambda: bound_kusmin_landau(bad, 0.25),
+        lambda: bound_trilinear(bad, 5.0, 1.0),
+        lambda: bound_trilinear(2.0, bad, 1.0),
+        lambda: bound_trilinear(2.0, 5.0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+
+
 def test_bounds_monotone_in_sizes():
     rng = np.random.default_rng(6)
     for _ in range(200):

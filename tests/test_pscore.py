@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pslab import pscore
 from pslab import (
     ExponentC,
+    GuardError,
     ValidationError,
     count_decomposition,
     floor_pow,
@@ -122,6 +123,22 @@ def test_ps_values_in_matches_membership_filter():
         stream = {w.value for w in ps_values_in(1, 500, c)}
         direct = {k for k in range(1, 501) if is_ps_value(k, c).is_member}
         assert stream == direct
+
+
+def test_ps_values_in_refuses_too_many_preimages_at_once():
+    # at 1001/1000 each preimage near 10^6 costs about 0.2 ms, so a walk to
+    # 10^18 would not end; the count is refused before the first value
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError):
+        next(ps_values_in(1, 10**18, ExponentC(1001, 1000)))
+    with pytest.raises(GuardError):
+        next(ps_values_in(10**6, 10**18, C32))
+    assert time.perf_counter() - t0 < 1.0
+    # the guard counts preimages, not values: this range has exactly that many
+    last = pscore.PS_VALUES_GUARD
+    assert sum(1 for _ in ps_values_in(1, floor_pow(last, C32), C32)) == last
+    with pytest.raises(GuardError):
+        next(ps_values_in(1, floor_pow(last + 1, C32), C32))
 
 
 def test_ps_values_single_point_consistency():

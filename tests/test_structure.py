@@ -2,8 +2,8 @@
 constant, no smallest-prime-factor table route, one vectorized route in
 floor_pow_bulk, one value generator, one sorted-array membership lookup,
 one sieve route, one exact rational power in pscore, one e(x), and reports
-built once; nothing is read from the environment and the command line has
-no root options."""
+built once; nothing is read from the environment, and the command line has
+no root options and names each command once."""
 import inspect
 import re
 from pathlib import Path
@@ -31,6 +31,11 @@ def test_root_parser_has_no_options():
     from pslab import cli
 
     assert [s for a in cli.build_parser()._actions for s in a.option_strings] == ["-h", "--help"]
+
+
+def test_cli_leaves_carry_their_runners():
+    # each leaf parser binds its runner; no second table of command names
+    assert re.findall(r"_HANDLERS|def _cmd_|args\.\w+_cmd ==|args\.kind ==", SOURCES["cli.py"]) == []
 
 
 def test_one_chunk_constant():
