@@ -19,7 +19,7 @@ from .errors import ValidationError, check_range
 from .pscore import ExponentC, is_ps_value, is_ps_value_bulk
 
 SEARCH_GUARD = 10**9
-SEGMENT = 1 << 20  # numbers per Korselt-sieve segment, about 20 MB of work arrays
+SEGMENT = 1 << 20  # numbers per Korselt-sieve segment, 5 MB of work arrays
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,22 @@ def carmichael_numbers_up_to(limit: int) -> list[int]:
     N/p > p.  The odd primes up to sqrt(limit) therefore suffice.  For a
     multiple N of p, p - 1 | N - 1 means N = p (mod p(p-1)); per N, each
     segment multiplies the primes p meeting that.  N is Carmichael exactly
-    when the product is N (so N is squarefree) with at least three factors.
+    when the product is N (so N is squarefree) with at least three factors;
+    only the N with at least three hits are compared.
     """
     check_range(limit, 0, SEARCH_GUARD, "Carmichael search", name="limit")
     if limit < 561:
         return []
     sieving = [int(p) for p in primes_up_to(isqrt(limit)).primes[1:]]
+    # refilled per segment, so no two segments' arrays are held at once
+    prods = np.empty(min(SEGMENT, limit), dtype=np.uint32)  # divides N <= SEARCH_GUARD < 2^32
+    counts = np.empty(prods.size, dtype=np.uint8)
     out: list[int] = []
     for lo in range(1, limit + 1, SEGMENT):
         hi = min(lo + SEGMENT, limit + 1)
-        prod = np.ones(hi - lo, dtype=np.int64)  # divides N, so never overflows
-        count = np.zeros(hi - lo, dtype=np.uint8)
+        prod, count = prods[: hi - lo], counts[: hi - lo]
+        prod.fill(1)
+        count.fill(0)
         for p in sieving:
             if p * p >= hi:
                 break
@@ -99,8 +104,8 @@ def carmichael_numbers_up_to(limit: int) -> list[int]:
             if first < hi - lo:  # most large p have no hit in a segment
                 prod[first::step] *= p
                 count[first::step] += 1
-        N = np.arange(lo, hi, dtype=np.int64)
-        out.extend(N[(prod == N) & (count >= 3)].tolist())
+        idx = np.flatnonzero(count >= 3)
+        out.extend((idx[prod[idx] == idx + lo] + lo).tolist())
     return out
 
 

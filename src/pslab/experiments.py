@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import fsum, log
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -40,6 +40,10 @@ CONVOLUTION_EPS = 0.01  # the dyadic box: K = x^(c-1+6 eps), L = x^(1-6 eps)/5
 # square_divisor_sum's work: one remainder per value and d, x*D in all;
 # 2*10^9 is x = 10^6 at D = 2000, about 12 s
 SQUARE_DIVISOR_WORK_GUARD = 2 * 10**9
+# its D weights and (d^2, weight) pairs, about 220 bytes per d, and D numpy
+# calls per block: 0.3 s, 50 MB at x = 2; 9 s at x = 2*10^4, where x*D meets
+# the work guard too
+SQUARE_DIVISOR_D_GUARD = 10**5
 Exponent = Union[float, Fraction]
 
 
@@ -144,11 +148,13 @@ def _exceeds_power(P: np.ndarray, ns: np.ndarray, e: Fraction) -> np.ndarray:
     return out
 
 
-def _largest_primes(x: int, c: ExponentC) -> tuple[np.ndarray, np.ndarray]:
-    """n = 2..x and P(floor(n^c)), the stream of smooth_count and large_pf_exceed,
-    factored block by block; the deciles of large_pf_exceed read every P."""
-    P = np.concatenate([factor_stream(v).largest_prime() for v in value_blocks(2, x, c)])
-    return np.arange(2, x + 1, dtype=np.int64), P
+def _largest_primes(x: int, c: ExponentC) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(ns, P(floor(n^c))) per value block for n = 2..x, the stream of
+    smooth_count and large_pf_exceed, factored one block at a time."""
+    start = 2
+    for v in value_blocks(2, x, c):
+        yield np.arange(start, start + v.size, dtype=np.int64), factor_stream(v).largest_prime()
+        start += v.size
 
 
 def smooth_count(x: int, c: ExponentC, eps: Exponent) -> ExperimentReport:
@@ -162,8 +168,8 @@ def smooth_count(x: int, c: ExponentC, eps: Exponent) -> ExperimentReport:
     check_range(x, 2, 10**6, "smooth-count")
     _check_values(x, c)
     t0 = time.perf_counter()
-    ns, P = _largest_primes(x, c)
-    observed = int(np.sum(~_exceeds_power(P, ns, Fraction(eps))))
+    e = Fraction(eps)
+    observed = sum(int(np.count_nonzero(~_exceeds_power(P, ns, e))) for ns, P in _largest_primes(x, c))
     params, reference = {"x": x, "c": str(c), "eps": float(eps)}, float(x) ** (1.0 - float(eps))
     return ExperimentReport("smooth_count", params, float(observed), reference, _ms_since(t0))
 
@@ -174,7 +180,8 @@ def large_pf_exceed(x: int, c: ExponentC, theta: Exponent, eps: Exponent) -> Exp
     theta - eps is taken at its exact rational value (floats at their
     binary values), and the comparison with n^(theta-eps) is exact.  The
     report's extras carry the deciles of log P(floor(n^c)) / log n, the
-    empirical distribution behind the lower-bound exponent.
+    empirical distribution behind the lower-bound exponent; only these
+    x - 1 exponents are held whole, each block's P is dropped once read.
     """
     try:  # Fraction refuses nan and inf; float refuses a Fraction beyond float64
         e = Fraction(theta) - Fraction(eps)
@@ -185,9 +192,11 @@ def large_pf_exceed(x: int, c: ExponentC, theta: Exponent, eps: Exponent) -> Exp
     check_range(x, 2, 10**6, "largest-prime")
     _check_values(x, c)
     t0 = time.perf_counter()
-    ns, P = _largest_primes(x, c)
-    observed = int(np.sum(_exceeds_power(P, ns, e)))
-    exponents = np.log(P.astype(np.float64)) / np.log(ns.astype(np.float64))
+    observed = 0
+    exponents = np.empty(x - 1)
+    for ns, P in _largest_primes(x, c):
+        observed += int(np.count_nonzero(_exceeds_power(P, ns, e)))
+        exponents[ns[0] - 2 : ns[-1] - 1] = np.log(P.astype(np.float64)) / np.log(ns.astype(np.float64))
     deciles = {f"d{k}0": float(np.percentile(exponents, 10 * k)) for k in range(1, 10)}
     return ExperimentReport("large_pf_exceed", params, float(observed), float(x), _ms_since(t0), deciles)
 
@@ -210,6 +219,7 @@ def square_divisor_sum(
     e = Fraction(c.p, c.q)
     if exceeds(D, x, e / 2):
         raise ValidationError(f"D={D} exceeds x^(c/2)")
+    check_range(D, 1, SQUARE_DIVISOR_D_GUARD, "square-divisor D", name="D")
     check_range(x * D, 1, SQUARE_DIVISOR_WORK_GUARD, "square-divisor work", name="x*D")
     if exceeds(D, x, 2 - e):
         warnings.warn("D beyond x^(2-c): outside the proven main-term range")

@@ -263,22 +263,25 @@ def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
                 term = term * _bounded(instance.joint_weight(*grids))
         return complex(np.sum(term))
 
-    def stripe_values(stripe: list) -> list[complex]:
-        # each worker reuses one set of block buffers for all its blocks
-        size = min(BLOCK, instance.n_terms())
-        e, buf = _cis2pi_into(size), np.empty(size)
+    def stripe_values(stripe: list, e: Callable, buf: np.ndarray) -> list[complex]:
         return [block_value(e, buf, *b) for b in stripe]
 
+    # each stripe reuses one set of block buffers for all its blocks; this
+    # thread makes them all, so no worker thread grows a malloc arena of its own
+    size = min(BLOCK, instance.n_terms())
     workers = min(threads, len(blocks))
+    step = -(-len(blocks) // workers)
+    stripes = [blocks[i : i + step] for i in range(0, len(blocks), step)]
+    es = [_cis2pi_into(size) for _ in stripes]
+    bufs = [np.empty(size) for _ in stripes]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        step = -(-len(blocks) // workers)
-        stripes = [blocks[i : i + step] for i in range(0, len(blocks), step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = [p for part in pool.map(stripe_values, stripes) for p in part]
+            parts = list(pool.map(stripe_values, stripes, es, bufs))
     else:
-        partials = stripe_values(blocks)
+        parts = map(stripe_values, stripes, es, bufs)
+    partials = [p for part in parts for p in part]
 
     # math.fsum is correctly rounded: the value does not depend on the order
     # of the partials, hence not on the thread count

@@ -293,7 +293,10 @@ def _floor_pow_bulk(ns: np.ndarray, a: int, b: int) -> np.ndarray:
     moves it by e v 2^-53, counted only when n_max >= 2^53; pow adds at most
     2 ulp (4 v 2^-53).  Every element whose fractional part lies within 10x
     that budget at v_max of an integer (the band; once it reaches 1/2, every
-    element) is settled exactly by _settle_band.
+    element) is settled exactly by _settle_band.  The int64 route runs CHUNK
+    elements at a time (_floor_pow_slice) into one result array, so its
+    temporaries stay one slice long; an input of at most CHUNK elements
+    returns its one slice's array.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size == 0:
@@ -310,9 +313,20 @@ def _floor_pow_bulk(ns: np.ndarray, a: int, b: int) -> np.ndarray:
     if de < delta:
         de = nextafter(de, inf)
     dn = ef * 2.0**-53 if n_max >= 2**53 else 0.0
-    v = np.power(ns.astype(np.float64), ef)
     v_max = float(n_max) ** ef
     tol = 10.0 * v_max * (de * log(v_max) / ef + dn + 4.0 * 2.0**-53)
+    if ns.size <= CHUNK:
+        return _floor_pow_slice(ns, a, b, tol)
+    out = np.empty(ns.size, dtype=np.int64)
+    for lo in range(0, ns.size, CHUNK):
+        out[lo : lo + CHUNK] = _floor_pow_slice(ns[lo : lo + CHUNK], a, b, tol)
+    return out
+
+
+def _floor_pow_slice(ns: np.ndarray, a: int, b: int, tol: float) -> np.ndarray:
+    """_floor_pow_bulk's int64 route on one slice, with the band half-width
+    tol of the whole input: the float candidate, then the band settled."""
+    v = np.power(ns.astype(np.float64), a / b)
     k = np.floor(v)
     frac = np.subtract(v, k, out=v)  # in place: v is not read again
     band = np.flatnonzero((frac < tol) | (frac > 1.0 - tol))

@@ -54,6 +54,40 @@ def test_pinch_counts():
     assert all(korselt(N) for N in hits)
 
 
+def test_sieve_matches_korselt_per_number():
+    assert carmichael_numbers_up_to(10**5) == [N for N in range(2, 10**5 + 1) if korselt(N)]
+
+
+@pytest.fixture(scope="module")
+def up_to_1e7():
+    hits = carmichael_numbers_up_to(10**7)
+    # Pinch counts 105 Carmichael numbers up to 10^7: 105 that pass Korselt are all of them
+    assert len(hits) == 105 and all(korselt(N) for N in hits)
+    return hits
+
+
+@pytest.mark.parametrize("limit", [560, 561, 2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5])
+def test_sieve_at_segment_edges(up_to_1e7, limit):
+    # 560 and 561 bracket the first Carmichael number; segments start at
+    # 1 + k 2^20, so the others end a segment early, on its last number, or
+    # one number into the next
+    assert carmichael_numbers_up_to(limit) == [N for N in up_to_1e7 if N <= limit]
+
+
+def test_sieve_holds_one_segment_of_candidates():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        carmichael_numbers_up_to(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 2^20-number segment of int64 takes 8 MB; its uint32 products and
+    # uint8 counts take 5 MB
+    assert peak < 8 * 2**20
+
+
 def test_search_ps_filter_near_one():
     records = search_ps_carmichael(10**4, C_NEAR_ONE)
     assert [r.N for r in records] == CLASSICS_1E4  # every factor is a value at c ~ 1

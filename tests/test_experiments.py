@@ -192,6 +192,23 @@ def test_large_pf_refuses_exponents_beyond_float64(theta, eps):
         large_pf_exceed(100, C32, theta, eps)
 
 
+def test_largest_prime_harnesses_read_blocks_as_one_stream():
+    # three value blocks: the count and deciles equal those of one
+    # factor_stream over all the values at once
+    from pslab.arith import factor_stream
+    from pslab.experiments import _exceeds_power
+    from pslab.pscore import CHUNK, floor_pow_bulk
+
+    x, c, e = 2 * CHUNK + 5, ExponentC(8, 5), Fraction(1, 2)
+    ns = np.arange(2, x + 1, dtype=np.int64)
+    P = factor_stream(floor_pow_bulk(ns, c)).largest_prime()
+    exponents = np.log(P.astype(np.float64)) / np.log(ns.astype(np.float64))
+    r = large_pf_exceed(x, c, e, 0)
+    assert r.observed == int(np.count_nonzero(_exceeds_power(P, ns, e)))
+    assert r.extras == {f"d{k}0": float(np.percentile(exponents, 10 * k)) for k in range(1, 10)}
+    assert smooth_count(x, c, e).observed == x - 1 - r.observed
+
+
 def test_large_pf_deciles_present():
     r = large_pf_exceed(1000, C32, 0.3, 0.05)
     assert set(r.extras) == {f"d{k}0" for k in range(1, 10)}
@@ -351,6 +368,23 @@ def test_square_divisor_work_guard_refuses_before_allocating():
     with pytest.raises(GuardError):
         square_divisor_sum(10**6, ExponentC(7, 2), 10**9, np.ones_like)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_square_divisor_d_guard_refuses_before_allocating(monkeypatch):
+    # at x = 2, c = 121/2, D = 10^9 lies below x^(c/2) = 2^30.25 and x*D
+    # meets the work guard; the D-element arrays must not be asked for
+    real_arange = np.arange
+
+    def small_arange(*args, **kwargs):
+        out_size = len(range(*(int(a) for a in args)))
+        assert out_size <= 10**7, f"np.arange of {out_size} elements"
+        return real_arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", small_arange)
+    with pytest.raises(GuardError, match="square-divisor D"):
+        square_divisor_sum(2, ExponentC(121, 2), 10**9, np.ones_like)
+    lhs, _ = square_divisor_sum(2, ExponentC(121, 2), 10**5, np.ones_like)
+    assert lhs == 0.0  # no d^2 with d ~ 10^5 divides 1 or floor(2^60.5) = 1630477228166597776
 
 
 def test_bound_checks_refuse_values_beyond_float_range():

@@ -350,6 +350,41 @@ def test_floor_pow_bulk_below_one_matches_floor_pow(a, b):
     assert [int(v) for v in got] == [pscore._floor_pow(n, a, b) for n in ns]
 
 
+@pytest.mark.parametrize("a, b, start", [(3, 2, 10**6), (300001, 150000, 10**6), (20, 21, 2**21 - 2048)])
+def test_floor_pow_bulk_slices_match_floor_pow_across_boundaries(monkeypatch, a, b, start):
+    # 3 CHUNK + 17 elements drawn from a pool, the pool's largest last, so
+    # the band is the pool's; band elements of the pool sit on both sides of
+    # every slice boundary
+    pool = np.arange(start, start + 4096, dtype=np.int64)
+    settled = _record_band(monkeypatch)
+    pscore._floor_pow_bulk(pool, a, b)
+    band = sorted(set(settled))
+    ns = np.random.default_rng(a).choice(pool, 3 * pscore.CHUNK + 17)
+    ns[-1] = pool[-1]
+    edges = [j * pscore.CHUNK + d for j in (1, 2, 3) for d in (-1, 0)]
+    ns[edges] = [band[i % len(band)] for i in range(len(edges))]
+    settled.clear()
+    got = pscore._floor_pow_bulk(ns, a, b)
+    assert got.dtype == np.int64 and set(ns[edges].tolist()) <= set(settled)
+    exact = {n: pscore._floor_pow(n, a, b) for n in set(ns.tolist())}
+    assert got.tolist() == [exact[n] for n in ns.tolist()]
+
+
+def test_floor_pow_bulk_holds_one_slice_of_temporaries():
+    # the 10^6 results take 8 MB; each float64 temporary over the whole
+    # input would take 8 MB more
+    import tracemalloc
+
+    ns = np.arange(1, 10**6 + 1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        floor_pow_bulk(ns, C32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 C_MEMBERSHIP = [ExponentC(*pq) for pq in [(3, 2), (8, 7), (17, 10), (21, 20), (1001, 1000), (300001, 150000)]]
 
 
