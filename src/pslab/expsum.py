@@ -18,31 +18,38 @@ import numpy as np
 from .errors import ValidationError, check_range
 
 TERM_GUARD = 10**8
-# points per block of the float kernels (eval_sum and the sawtooth kernels):
-# a block's temporaries stay near cache size instead of spanning the whole
-# input; 2^15 gave the least eval_sum time of 2^12..2^15 (CHANGES.md)
+# points per block of eval_sum: a block's temporaries stay near cache size
+# instead of spanning the whole input; 2^15 gave the least eval_sum time of
+# 2^12..2^15 (CHANGES.md)
 BLOCK = 1 << 15
 
 # e(x) = exp(2 pi i x) by table lookup plus a short series (Tang, ACM TOMS
-# 15, 1989): e(x) = e(k/T) e(r/T) with x = n + (k + r)/T, |r| <= 1/2
-_T = 1 << 12
+# 15, 1989): e(x) = e(k/T) e(r/T) with x = n + (k + r)/T, |r| <= 1/2.
+# T = 2^14 entries of complex128 (256 KB): at |angle| <= pi/T one cos term
+# and two sin terms suffice for 1e-15 (at 2^13 the dropped cos term would be
+# 9e-16), so e(x) costs about 15 array passes; 2^14 was also the fastest of
+# 2^14, 2^15 and 2^16 in a sweep (CHANGES.md)
+_T = 1 << 14
 
 
-def _e_table() -> tuple[np.ndarray, np.ndarray]:
-    # cos and sin of 2 pi j/T, each from an angle of at most pi/4 and a
-    # quarter turn, so no entry is off by more than 1.2e-16 (checked at 100 bits)
+def _e_table() -> np.ndarray:
+    # e(j/T) from cos and sin of an angle of at most pi/4 and a quarter
+    # turn, so no entry is off by more than 1.2e-16 (checked at 100 bits)
     j = np.arange(_T)
     quarter = np.rint(j / (_T // 4))
     a = (np.pi / (_T // 2)) * (j - quarter * (_T // 4))
     c, s = np.cos(a), np.sin(a)
     q = quarter.astype(np.intp) % 4
-    return np.choose(q, [c, -s, -c, s]), np.choose(q, [s, c, -s, -c])
+    table = np.empty(_T, np.complex128)
+    table.real = np.choose(q, [c, -s, -c, s])
+    table.imag = np.choose(q, [s, c, -s, -c])
+    return table
 
 
-_COS, _SIN = _e_table()
-# the angle is 2 pi r/T = _W r; cos - 1 and sin to three and two terms
+_E = _e_table()
+# the angle is 2 pi r/T = _W r; cos - 1 to one term, sin to two
 _W = 2.0 * np.pi / _T
-_C2, _C4, _S3 = -(_W**2) / 2.0, _W**4 / 24.0, -(_W**3) / 6.0
+_C2, _S3 = -(_W**2) / 2.0, -(_W**3) / 6.0
 
 
 def cis2pi(x) -> np.ndarray:
@@ -55,19 +62,20 @@ def _cis2pi_into(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """e(x) for 1-d float64 x of at most n points, computed in buffers made
     here once and overwritten by the next call.
 
-    A block walk that allocated and freed its dozen block-sized temporaries
-    per block made malloc hand the pages back and fault them in again: about
-    3x slower in a fresh process.  x - rint(x), its scaling u by T = 2^12 and
+    A block walk that allocated and freed its block-sized temporaries per
+    block made malloc hand the pages back and fault them in again: about 3x
+    slower in a fresh process.  x - rint(x), its scaling u by T = 2^14 and
     r = u - rint(u) are exact, so the only errors are the table's 1.2e-16,
-    the last roundings of the series and their truncation at |angle| <= pi/T
-    (below 1e-17).
+    the dropped cos term (pi/T)^4/24 < 5.7e-17, the sin truncation (about
+    2e-21) and the last roundings of the factor and the complex product.
     """
-    work = np.empty((7, n))
-    z = np.empty(n, np.complex128)
+    work = np.empty((3, n))
+    zs = np.empty((2, n), np.complex128)
 
     def e(x: np.ndarray) -> np.ndarray:
-        r, k, c, s, sin, tmp, idx = work[:, : x.size]
+        r, k, idx = work[:, : x.size]
         idx = idx.view(np.intp)
+        out, f = zs[:, : x.size]
         np.rint(x, out=r)
         np.subtract(x, r, out=r)
         r *= _T
@@ -76,25 +84,15 @@ def _cis2pi_into(n: int) -> Callable[[np.ndarray], np.ndarray]:
         np.copyto(idx, k, casting="unsafe")
         # k mod T, so "clip" never clips; unlike "raise" it writes out directly
         idx &= _T - 1
-        _COS.take(idx, out=c, mode="clip")
-        _SIN.take(idx, out=s, mode="clip")
+        _E.take(idx, out=out, mode="clip")
+        # e(r/T) = (1 + C2 r^2) + i r (W + S3 r^2), written into f's parts
         r2 = np.square(r, out=k)
-        np.multiply(r2, _S3, out=sin)
-        sin += _W
-        sin *= r
-        cos_m1 = np.multiply(r2, _C4, out=r)
-        cos_m1 += _C2
-        cos_m1 *= r2
-        # e(k/T) e(r/T) = (c + i s)(1 + cos_m1 + i sin), the small parts first
-        out = z[: x.size]
-        np.multiply(c, cos_m1, out=tmp)
-        tmp -= np.multiply(s, sin, out=r2)
-        tmp += c
-        out.real = tmp
-        np.multiply(s, cos_m1, out=tmp)
-        tmp += np.multiply(c, sin, out=r2)
-        tmp += s
-        out.imag = tmp
+        np.multiply(r2, _C2, out=f.real)
+        f.real += 1.0
+        np.multiply(r2, _S3, out=f.imag)
+        f.imag += _W
+        f.imag *= r
+        out *= f
         return out
 
     return e

@@ -209,6 +209,35 @@ def test_largest_prime_harnesses_read_blocks_as_one_stream():
     assert smooth_count(x, c, e).observed == x - 1 - r.observed
 
 
+# large_pf_exceed(10^5, c, 1/2, 0): count and deciles; smooth_count(10^5, c,
+# 1/2); and the pq cofactors that the lockstep rho handed to the scalar
+# _rho_split per harness call, before batches whose gcd reached n were
+# backtracked in bulk
+_LPF_FROZEN = {
+    (3, 2): (94091, [0.557260612462187, 0.6638103504899938, 0.750616837608721, 0.8297576268999367,
+                     0.9194410054021209, 1.0152160940112789, 1.1245223981110033, 1.2526246990357155,
+                     1.3986329613534727], 5908, 2041),
+    (8, 5): (97021, [0.6187194235960468, 0.7280814402063941, 0.8156810860436233, 0.9016618914373609,
+                     0.9973476370814911, 1.103427140698358, 1.2224804183418614, 1.3527522415895044,
+                     1.4984828293776482], 2978, 1769),
+}
+
+
+@pytest.mark.parametrize("pq", sorted(_LPF_FROZEN))
+def test_rho_backtrack_keeps_counts_and_cuts_scalar_handoffs(monkeypatch, pq):
+    from pslab import arith
+
+    exceed, deciles, smooth, handed_before = _LPF_FROZEN[pq]
+    handed, scalar = [], arith._rho_split
+    monkeypatch.setattr(arith, "_rho_split", lambda n: handed.append(n) or scalar(n))
+    c = ExponentC(*pq)
+    r = large_pf_exceed(10**5, c, Fraction(1, 2), 0)
+    assert r.observed == exceed
+    assert [r.extras[f"d{k}0"] for k in range(1, 10)] == deciles
+    assert 5 * len(handed) <= handed_before
+    assert smooth_count(10**5, c, Fraction(1, 2)).observed == smooth
+
+
 def test_large_pf_deciles_present():
     r = large_pf_exceed(1000, C32, 0.3, 0.05)
     assert set(r.extras) == {f"d{k}0" for k in range(1, 10)}

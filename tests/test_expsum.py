@@ -121,6 +121,17 @@ def _e_mpmath(x: float) -> complex:
     return complex(mpmath.cospi(2 * y), mpmath.sinpi(2 * y))
 
 
+def test_e_table_entries_within_1_2e_16_at_100_bits():
+    from pslab.expsum import _E, _T
+
+    assert _E.shape == (_T,) == (1 << 14,)
+    with mpmath.workprec(100):
+        for j, z in enumerate(_E.tolist()):
+            turn = mpmath.mpf(2 * j) / _T
+            assert abs(z.real - mpmath.cospi(turn)) <= 1.2e-16, j
+            assert abs(z.imag - mpmath.sinpi(turn)) <= 1.2e-16, j
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _E_ARGUMENTS = st.one_of(
     st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from pslab import (
     psi,
     vaaler_kernel,
 )
+from pslab.sawtooth import _GROUP, _M
 
 # dense grid plus probes hugging the discontinuity at the integers
 GRID = np.concatenate(
@@ -80,6 +85,32 @@ def test_vaaler_guard():
         vaaler_kernel(10**5 + 1)
 
 
+@pytest.mark.parametrize("H", [2.5, 3.0, "3", True])
+def test_degrees_must_be_integers(H):
+    # vaaler_kernel(2.5) once built 3 coefficients damped at h/3.5, and
+    # erdos_turan_rhs raised numpy's TypeError
+    with pytest.raises(ValidationError):
+        vaaler_kernel(H)
+    with pytest.raises(ValidationError):
+        erdos_turan_rhs([0.1, 0.2], H)
+    assert vaaler_kernel(np.int64(3)).H == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_refused(bad):
+    # a nan point made erdos_turan_rhs nan and counted above beta in
+    # discrepancy_lhs; the check comes before the kernels allocate
+    pts = [0.1, bad, 0.3]
+    k = vaaler_kernel(5)
+    for call in (k.approx, k.majorant, lambda t: erdos_turan_rhs(t, 3), lambda t: discrepancy_lhs(t, 0.5)):
+        with pytest.raises(ValidationError):
+            call(pts)
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError):
+        erdos_turan_rhs([bad], 10**6)  # S would hold 10^6 sums
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_kernel_matrices_refused_before_allocation():
     from pslab.sawtooth import SAWTOOTH_CELLS_GUARD
 
@@ -123,6 +154,7 @@ def _vaaler_series(t, H):
 
 
 EDGE_POINTS = [1e-12, 1 - 1e-12, 10**6 + 0.3]
+EDGE_DEGREES = sorted({1, 15, 16, 17, 64 * 16 + 1, _M - 1, _M, _M + 1, _GROUP * _M + 1})
 
 
 @pytest.mark.parametrize(
@@ -131,6 +163,10 @@ EDGE_POINTS = [1e-12, 1 - 1e-12, 10**6 + 0.3]
         # at 10^9 + 0.3, forming the angle before reducing mod 1 moves approx by ~1e-8
         (10**4, [1e-9, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1 - 1e-9, 10**9 + 0.3] + EDGE_POINTS),
         (10**5, EDGE_POINTS),
+        # one power row, fewer powers than _M, partial and whole rows of _M
+        # powers, and one or two groups of _GROUP rows, the last group one row
+        # with one weight
+        *[(H, [0.1, 0.37, 0.5, 0.93] + EDGE_POINTS) for H in EDGE_DEGREES],
     ],
 )
 def test_vaaler_kernel_matches_fsum_series(H, t):
@@ -144,24 +180,36 @@ def test_blocked_kernels_equal_one_block(monkeypatch):
     from pslab import sawtooth
 
     k = vaaler_kernel(60)
-    t = np.linspace(-3.0, 7.0, 2 * sawtooth.BLOCK + 4321)
+    t = np.linspace(-3.0, 7.0, 2 * sawtooth.POINT_BLOCK + 4321)
     blocked = k.approx(t), k.majorant(t), erdos_turan_rhs(t, 60)
-    monkeypatch.setattr(sawtooth, "BLOCK", t.size)
+    monkeypatch.setattr(sawtooth, "POINT_BLOCK", t.size)
     whole = k.approx(t), k.majorant(t), erdos_turan_rhs(t, 60)
     assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
     # S_h is accumulated over the blocks, so only its rounding may differ
     assert blocked[2] == pytest.approx(whole[2], rel=1e-12)
 
 
-def test_erdos_turan_matches_fsum_recount():
-    K, H = 2000, 500
-    t = np.arange(1, K + 1, dtype=np.float64) ** (2.0 / 3.0)
+def _erdos_turan_fsum(t, H):
+    """K/(H+1) + 3 sum_h |S_h|/h with every S_h summed by math.fsum."""
     cos, sin = _cos_sin_reduced(t, range(1, H + 1))
-    terms = [K / (H + 1)] + [
+    terms = [len(t) / (H + 1)] + [
         3.0 * math.hypot(math.fsum(cos[:, h - 1].tolist()), math.fsum(sin[:, h - 1].tolist())) / h
         for h in range(1, H + 1)
     ]
-    want = math.fsum(terms)
+    return math.fsum(terms)
+
+
+def test_erdos_turan_matches_fsum_recount():
+    K, H = 2000, 500
+    t = np.arange(1, K + 1, dtype=np.float64) ** (2.0 / 3.0)
+    want = _erdos_turan_fsum(t, H)
+    assert abs(erdos_turan_rhs(t, H) - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("H", EDGE_DEGREES)
+def test_erdos_turan_matches_fsum_at_row_and_group_edges(H):
+    t = np.concatenate([np.arange(1, 501, dtype=np.float64) ** (2.0 / 3.0), EDGE_POINTS])
+    want = _erdos_turan_fsum(t, H)
     assert abs(erdos_turan_rhs(t, H) - want) <= 1e-10 * want
 
 
@@ -174,6 +222,49 @@ def test_erdos_turan_memory_linear_in_points():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("P, H", [(10**5, 500), (500, 10**5)])
+def test_kernel_memory_bounded_at_both_guard_corners(P, H):
+    # the power rows and GEMM blocks take a few blocks of points whatever H
+    # is; beyond them only the output (approx, majorant) or S (erdos_turan_rhs)
+    t = np.arange(1, P + 1, dtype=np.float64) ** (2.0 / 3.0)
+    k = vaaler_kernel(H)
+    for call in (k.approx, k.majorant, lambda pts: erdos_turan_rhs(pts, H)):
+        tracemalloc.start()
+        try:
+            call(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from pslab import erdos_turan_rhs, vaaler_kernel
+t = np.arange(1, 30001, dtype=np.float64) ** (2.0 / 3.0)
+k = vaaler_kernel(1200)
+h = hashlib.sha256()
+h.update(k.approx(t).tobytes())
+h.update(k.majorant(t).tobytes())
+h.update(np.float64(erdos_turan_rhs(t, 1200)).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_kernels_bit_equal_under_one_and_two_blas_threads():
+    import pslab
+
+    src = str(Path(pslab.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_discrepancy_examples():
