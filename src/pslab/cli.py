@@ -106,9 +106,8 @@ def _run_series(harness, args) -> None:
     reports = [harness(x, ci, args) for ci in cs for x in _series(args.series, args.x)]
     if args.fmt == "tsv-plot" and reports[0].extras:
         # largepf's deciles, one row per report: (c, d10, ..., d90)
-        keys = [f"d{k}0" for k in range(1, 10)]
-        rows = [[r.params["c"]] + [r.extras[k] for k in keys] for r in reports]
-        emit_plot_data(rows, ["c"] + keys, args.output)
+        rows = [[r.params["c"]] + list(r.extras.values()) for r in reports]
+        emit_plot_data(rows, ["c"] + list(reports[0].extras), args.output)
     else:
         _emit_reports(reports, args.fmt, args.output)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import fsum, log
@@ -23,7 +23,7 @@ import numpy as np
 from .arith import SQUAREFREE_BULK_MAX, factor_stream, is_squarefree_bulk
 from .arith import factorize, primes_up_to  # unused here; perfbench/tracing.py wraps these names
 from .errors import GuardError, ValidationError, check_range
-from .pscore import ExponentC, exceeds, in_sorted, value_blocks
+from .pscore import ExponentC, _floor_pow, exceeds, in_sorted, value_blocks
 from .pscore import floor_pow_bulk  # unused here; perfbench/tracing.py wraps this name
 
 SIX_OVER_PI_SQUARED = 6.0 / np.pi**2
@@ -36,13 +36,12 @@ POWER_BAND = 2.0**-30
 # lookups (~37 ns each) on 2 cores; each bound alone is about 0.7 s
 CONVOLUTION_K_GUARD = 5 * 10**4
 CONVOLUTION_LOOKUP_GUARD = 2 * 10**7
-CONVOLUTION_EPS = 0.01  # the dyadic box: K = x^(c-1+6 eps), L = x^(1-6 eps)/5
+CONVOLUTION_EPS = Fraction(1, 100)  # the dyadic box: K = x^(c-1+6 eps), L = x^(1-6 eps)/5
 # square_divisor_sum's work: one remainder per value and d, x*D in all;
 # 2*10^9 is x = 10^6 at D = 2000, about 12 s
 SQUARE_DIVISOR_WORK_GUARD = 2 * 10**9
-# its D weights and (d^2, weight) pairs, about 220 bytes per d, and D numpy
-# calls per block: 0.3 s, 50 MB at x = 2; 9 s at x = 2*10^4, where x*D meets
-# the work guard too
+# its D weights and d^2 as arrays, and D numpy calls per block: 0.2 s, 39 MB
+# at x = 2; 8 s at x = 2*10^4, where x*D meets the work guard too
 SQUARE_DIVISOR_D_GUARD = 10**5
 Exponent = Union[float, Fraction]
 
@@ -75,16 +74,9 @@ class ExperimentReport:
         )
 
     def to_json(self) -> str:
-        obj = {
-            "experiment": self.experiment,
-            "params": self.params,
-            "observed": self.observed,
-            "reference": self.reference,
-            "ratio": self.ratio,
-            "runtime_ms": self.runtime_ms,
-        }
-        if self.extras:
-            obj["extras"] = self.extras
+        obj = asdict(self)
+        if not self.extras:
+            del obj["extras"]
         return json.dumps(obj, sort_keys=True)
 
     CSV_HEADER = "experiment,param_json,observed,reference,ratio,runtime_ms"
@@ -197,7 +189,7 @@ def large_pf_exceed(x: int, c: ExponentC, theta: Exponent, eps: Exponent) -> Exp
     for ns, P in _largest_primes(x, c):
         observed += int(np.count_nonzero(_exceeds_power(P, ns, e)))
         exponents[ns[0] - 2 : ns[-1] - 1] = np.log(P.astype(np.float64)) / np.log(ns.astype(np.float64))
-    deciles = {f"d{k}0": float(np.percentile(exponents, 10 * k)) for k in range(1, 10)}
+    deciles = {f"d{k}0": float(v) for k, v in enumerate(np.percentile(exponents, range(10, 100, 10)), 1)}
     return ExperimentReport("large_pf_exceed", params, float(observed), float(x), _ms_since(t0), deciles)
 
 
@@ -227,14 +219,16 @@ def square_divisor_sum(
     zd = np.asarray(z(ds), dtype=np.float64)
     if zd.size and np.max(np.abs(zd)) > 2.0 * np.log(np.maximum(ds, 2)).max() + 1e-9:
         warnings.warn("weights exceed the 2 log d envelope")
-    # (d^2, weight) in d order; each d's count adds up over the value blocks
-    weighted = [(d * d, float(w)) for d, w in zip(ds.tolist(), zd) if w != 0.0]
-    counts = [0] * len(weighted)
+    # the nonzero weights and their d^2 in d order; each d's count adds up
+    # over the value blocks, and lhs is their sum in d order
+    nonzero = zd != 0.0
+    squares, weights = ds[nonzero] ** 2, zd[nonzero]
+    counts = np.zeros(squares.size, dtype=np.int64)
     for vals in value_blocks(1, x, c):
-        for j, (dd, _) in enumerate(weighted):
-            counts[j] += int(np.count_nonzero(vals % dd == 0))
+        for j, dd in enumerate(squares.tolist()):
+            counts[j] += np.count_nonzero(vals % dd == 0)
     lhs = 0.0
-    for (_, w), n in zip(weighted, counts):
+    for w, n in zip(weights.tolist(), counts.tolist()):
         lhs += w * n
     rhs = float(x) * float(np.sum(zd / ds.astype(np.float64) ** 2))
     return lhs, rhs
@@ -262,8 +256,8 @@ def convolution_count(
     predicate: Callable[[np.ndarray], np.ndarray],
 ) -> float:
     """sum_{n<=x} of the dyadic-box convolution R(n) = sum a_k a_l over
-    k*l = floor(n^c), with K = x^(c-1+6 eps) and L = x^(1-6 eps)/5 at
-    eps = CONVOLUTION_EPS.
+    k*l = floor(n^c), with the exact floors K = floor(x^(c-1+6 eps)) and
+    L = floor(floor(x^(1-6 eps))/5) at eps = CONVOLUTION_EPS.
 
     For each k with a nonzero weight, the products k*l are looked up in the
     generated values floor(n^c), n <= x, so a match is a value with a
@@ -271,9 +265,13 @@ def convolution_count(
     4KL <= 0.8 x^c, inside the generated range.
     """
     check_range(x, 2, 10**5, "convolution")
-    # exponents past 60 would overflow the float power; x^60 >= 2^60 is refused all the same
-    K = max(int(float(x) ** min(c.as_float - 1.0 + 6.0 * CONVOLUTION_EPS, 60.0)), 1)
-    L = max(int(float(x) ** (1.0 - 6.0 * CONVOLUTION_EPS) / 5.0), 1)
+    e, f = Fraction(c.p, c.q) - 1 + 6 * CONVOLUTION_EPS, 1 - 6 * CONVOLUTION_EPS
+    # exact floors; a K past its guard stands at guard + 1, refused below
+    # before the power x^e is formed
+    K = CONVOLUTION_K_GUARD + 1
+    if exceeds(K, x, e):
+        K = _floor_pow(x, e.numerator, e.denominator)
+    L = max(_floor_pow(x, f.numerator, f.denominator) // 5, 1)
     check_range(K, 1, CONVOLUTION_K_GUARD, "convolution k-range", name="K")
     check_range(K * L, 1, CONVOLUTION_LOOKUP_GUARD, "convolution lookup", name="K*L")
     ks = np.arange(K + 1, 2 * K + 1, dtype=np.int64)

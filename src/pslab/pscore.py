@@ -369,16 +369,22 @@ def is_ps_value_bulk(ks: np.ndarray, c: ExponentC) -> np.ndarray:
     With n0 = floor(k^(1/c)), k is a value when floor((n0+1)^c) = k or
     floor(n0^c) = k.  The second holds only when n0^p = k^q, that is when
     k = m^p is a perfect p-th power (and n0 = m^q), and every such k is a
-    value; so the perfect p-th powers are looked up, not computed.
+    value; so the perfect p-th powers are looked up, not computed.  The
+    input runs CHUNK elements at a time into one result, as in
+    _floor_pow_bulk, so the temporaries stay one slice long.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size == 0:
         return np.zeros(0, dtype=bool)
     if int(ks.min()) < 1:
         raise ValidationError("is_ps_value_bulk requires all k >= 1")
-    n0 = _floor_pow_bulk(ks, c.q, c.p)
     powers = np.arange(1, integer_root(int(ks.max()), c.p) + 1, dtype=np.int64) ** c.p
-    return (floor_pow_bulk(n0 + 1, c) == ks) | in_sorted(powers, ks)
+    out = np.empty(ks.size, dtype=bool)
+    for lo in range(0, ks.size, CHUNK):
+        part = ks[lo : lo + CHUNK]
+        n0 = _floor_pow_bulk(part, c.q, c.p)
+        out[lo : lo + CHUNK] = (floor_pow_bulk(n0 + 1, c) == part) | in_sorted(powers, part)
+    return out
 
 
 def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:

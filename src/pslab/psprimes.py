@@ -49,8 +49,12 @@ def _check_progression(x: int, d: int) -> None:
 
 
 def _in_progression(ps: np.ndarray, d: int, a: int) -> np.ndarray:
-    """The ps = a (mod d): ps itself when d = 1, else a fresh array."""
-    return ps if d == 1 else np.compress(ps % d == a % d, ps)
+    """The ps = a (mod d): ps itself when d = 1, else a fresh array.  Every
+    p is at most X_GUARD, so a larger d (which may not fit int64) leaves
+    p mod d = p."""
+    if d == 1:
+        return ps
+    return np.compress((ps if d > X_GUARD else ps % d) == a % d, ps)
 
 
 def _progression_primes(x: int, d: int, a: int) -> np.ndarray:
@@ -77,28 +81,17 @@ def _chunked_sum(v: np.ndarray) -> float:
 @lru_cache(maxsize=1)  # the name predates the array it holds; perfbench clears it by name
 def _ps_prime_mask_cached(x: int, c: ExponentC) -> np.ndarray:
     """The sequence primes <= x: the sieve's primes that is_ps_value_bulk
-    finds to be values, CHUNK primes at a time; is_ps_value re-decides a
-    sample."""
+    finds to be values; is_ps_value re-decides a sample."""
     primes = primes_up_to(x).primes
     if primes.size == 0:
         return np.empty(0, dtype=np.int64)
-    # filled in place, then trimmed: per-chunk pieces, once freed, can stay
-    # resident beside the cached sieve.  Pages past the last prime written
-    # are never touched
-    buf = np.empty(primes.size, dtype=np.int64)
-    size = 0
-    for lo in range(0, primes.size, CHUNK):
-        part = primes[lo : lo + CHUNK]
-        found = part[is_ps_value_bulk(part, c)]
-        buf[size : size + found.size] = found
-        size += found.size
-    ps = buf[:size].copy()
-    ps.setflags(write=False)
-    for k in primes[np.unique(np.linspace(0, primes.size - 1, WITNESS_SAMPLES).astype(np.int64))]:
-        k, i = int(k), int(np.searchsorted(ps, k))
-        kept = i < ps.size and int(ps[i]) == k
+    member = is_ps_value_bulk(primes, c)
+    for i in np.unique(np.linspace(0, primes.size - 1, WITNESS_SAMPLES).astype(np.int64)).tolist():
+        k, kept = int(primes[i]), bool(member[i])
         if is_ps_value(k, c).is_member != kept:
             raise RouteDisagreementError(f"prime {k}: kept={kept}, witness disagrees, c={c}")
+    ps = primes[member]
+    ps.setflags(write=False)
     return ps
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -218,6 +219,19 @@ def test_bt_ratio_refuses_a_large_modulus(capsys):
         capsys, "primes", "bt-ratio", "--x", str(10**8), "--d", str(10**15 + 1), "--a", "1", "--c", "21/20"
     )
     assert code == 3 and out == "" and "guard" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "cmd, c, expected",
+    [("count", None, "1"), ("count", "3/2", "0"), ("log-weight", None, repr(math.log(3))),
+     ("log-weight", "3/2", "0.0"), ("main-term", "3/2", repr(2 / 3 * 3.0 ** (2 / 3 - 1)))],
+)
+def test_primes_take_a_modulus_beyond_int64(capsys, cmd, c, expected):
+    # the progression holds the prime 3 alone; it is no value floor(n^(3/2)),
+    # and main-term weighs it as gamma 3^(gamma - 1)
+    argv = ["primes", cmd, "--x", "100", "--d", str(10**20), "--a", "3"] + (["--c", c] if c else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out.strip(), err) == (0, expected, "")
 
 
 def test_threads_flag_deterministic(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslab import (
+    ExperimentReport,
     ExponentC,
     GuardError,
     ValidationError,
@@ -333,6 +335,17 @@ def test_convolution_positive_and_brute_force():
     assert got == float(brute)
 
 
+@pytest.mark.parametrize("x", [4, 9, 16, 25, 100, 10**4])
+def test_convolution_box_is_sized_exactly_at_perfect_squares(x):
+    # at c = 36/25, K = x^(c - 1 + 3/50) = x^(1/2) is an integer at these x,
+    # which the float64 power x^0.49999999999999994 misses by one
+    c = ExponentC(36, 25)
+    K, L = integer_root(x, 2), max(integer_root(x**47, 50) // 5, 1)
+    values = {floor_pow(n, c) for n in range(1, x + 1)}
+    brute = sum(k * l in values for k in range(K + 1, 2 * K + 1) for l in range(L + 1, 2 * L + 1))
+    assert convolution_count(x, c, np.ones_like) == float(brute)
+
+
 def test_convolution_prime_indicator_cross_check():
     from pslab import is_prime
 
@@ -359,6 +372,13 @@ def test_reports_serialize():
     assert r.to_csv_row().startswith("squarefree_density,")
     assert '"experiment": "squarefree_density"' in r.to_json()
     assert r.ratio == pytest.approx(r.observed / r.reference)
+    # every field, sorted by key; extras only when nonempty
+    assert sorted(json.loads(r.to_json())) == ["experiment", "observed", "params", "ratio", "reference", "runtime_ms"]
+    full = ExperimentReport("e", {"x": 2}, 1.0, 2.0, 5, {"d10": 0.5})
+    assert full.to_json() == (
+        '{"experiment": "e", "extras": {"d10": 0.5}, "observed": 1.0, "params": {"x": 2}, '
+        '"ratio": 0.5, "reference": 2.0, "runtime_ms": 5}'
+    )
 
 
 def test_square_divisor_range_decided_exactly():

@@ -414,6 +414,19 @@ def test_is_ps_value_bulk_edges():
         is_ps_value_bulk(np.array([5, 0]), C32)
 
 
+def test_is_ps_value_bulk_runs_by_chunk():
+    # longer than CHUNK, with its largest (and so its perfect p-th powers)
+    # in the last chunk: the same answers as one call per chunk and as
+    # is_ps_value, across each chunk boundary
+    cubes = [m**3 + d for m in (10**4, 2 * 10**5) for d in (-1, 0, 1)]
+    ks = np.concatenate([np.arange(1, 2 * pscore.CHUNK + 10, dtype=np.int64), cubes])
+    got = is_ps_value_bulk(ks, C32)
+    per_chunk = [is_ps_value_bulk(ks[lo : lo + pscore.CHUNK], C32) for lo in range(0, ks.size, pscore.CHUNK)]
+    assert got.tolist() == np.concatenate(per_chunk).tolist()
+    around = np.r_[pscore.CHUNK - 40 : pscore.CHUNK + 40, 2 * pscore.CHUNK - 40 : ks.size]
+    assert got[around].tolist() == [is_ps_value(int(k), C32).is_member for k in ks[around]]
+
+
 C_WINDOWS = [ExponentC(*pq) for pq in [(3, 2), (8, 7), (17, 10), (21, 20), (1001, 1000)]]
 
 

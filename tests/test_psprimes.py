@@ -151,6 +151,19 @@ def test_brun_titchmarsh_refuses_a_large_modulus_before_counting():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_progressions_take_a_modulus_beyond_int64():
+    # every prime p <= x lies below such a d, so the progression holds at
+    # most the prime a mod d; the results match a d > x that fits int64
+    big, small = 10**20 + 1, 10**9 + 7
+    for d in (big, small):
+        assert (pi_ap(100, d, 3), pi_ap(100, d, 4), pi_ap(100, d, d + 97)) == (1, 0, 1)
+        assert theta_ap(100, d, 3) == math.log(3)
+        # 5 = floor(3^(3/2)) and 11 = floor(5^(3/2)) are sequence primes; 3 is not
+        assert [pi_c_ap(ApQuery(100, d, a, C32)) for a in (5, 3, d + 11)] == [1, 0, 1]
+        assert vartheta_c_ap(ApQuery(100, d, 5, C32)) == math.log(5)
+    assert ap_main_term(ApQuery(100, big, 5, C32)) == ap_main_term(ApQuery(100, small, 5, C32))
+
+
 def test_brun_titchmarsh_sweep_envelope():
     c = ExponentC(21, 20)
     ratios = [

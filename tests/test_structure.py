@@ -1,9 +1,10 @@
 """One path per job: the package keeps a single thread pool, a single chunk
 constant, no smallest-prime-factor table route, one vectorized route in
 floor_pow_bulk, one value generator, one sorted-array membership lookup,
-one sieve route, one exact rational power in pscore, one e(x), and reports
-built once; nothing is read from the environment, and the command line has
-no root options and names each command once."""
+one sieve route, one exact rational power in pscore, one e(x), reports
+built once, and each job done by the call that already does it; nothing is
+read from the environment, and the command line has no root options and
+names each command once."""
 import inspect
 import re
 from pathlib import Path
@@ -153,3 +154,25 @@ def test_one_value_generator():
     assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "is_ps_value_bulk"), ("pscore.py", "value_blocks")]
     # and factor_stream factors what it is given, with no slicing of its own
     assert "CHUNK" not in inspect.getsource(arith.factor_stream)
+
+
+def test_sequence_primes_are_one_masked_selection():
+    from pslab import psprimes
+
+    # the witness samples are read from the mask by index
+    fill = inspect.getsource(psprimes._ps_prime_mask_cached)
+    assert "buf" not in fill and "searchsorted(" not in fill
+
+
+def test_miller_rabin_takes_two_to_the_s_from_the_lowest_set_bit():
+    from pslab import arith
+
+    assert "while True" not in inspect.getsource(arith._is_sprp_bulk)
+
+
+def test_deciles_come_from_one_percentile_call():
+    assert "10 * k" not in inspect.getsource(experiments.large_pf_exceed)
+
+
+def test_only_experiments_spells_the_decile_keys():
+    assert "d{k}0" not in SOURCES["cli.py"]
