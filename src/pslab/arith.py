@@ -483,6 +483,28 @@ def factor_stream(values: np.ndarray) -> FactorStream:
     return FactorStream(bound, primes, hits, small_max, cofactor, root, squarefree)
 
 
+def has_square_factor(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Whether p^2 divides each int64 value in [0, 2^63) for some p of the
+    ascending primes, in one division-free pass per prime.
+
+    As in factor_stream, the values are unsigned w-bit words (w = 32 when
+    the largest fits, else 64), and odd p^2 divides u exactly when
+    u * inv(p^2) mod 2^w <= (2^w - 1) // p^2, with inv(p^2) the inverse of
+    p^2 mod 2^w: one multiply and one compare.  p = 2 is v & 3 == 0.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    word = np.uint32 if v.size == 0 or int(v.max()) < 2**32 else np.uint64
+    top = (1 << np.iinfo(word).bits) - 1
+    out = (v & 3) == 0 if primes.size and primes[0] == 2 else np.zeros(v.shape, dtype=bool)
+    u = v.astype(word)
+    prod, hit = np.empty_like(u), np.empty(v.shape, dtype=bool)
+    for p in primes[primes > 2].tolist():
+        np.multiply(u, word(pow(p * p, -1, top + 1)), out=prod)
+        np.less_equal(prod, word(top // (p * p)), out=hit)
+        out |= hit
+    return out
+
+
 def is_squarefree_bulk(values: np.ndarray) -> np.ndarray:
     """Vectorized squarefree test for int64 values up to SQUAREFREE_BULK_MAX."""
     return factor_stream(values).squarefree

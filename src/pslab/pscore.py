@@ -307,6 +307,18 @@ def _floor_pow_bulk(ns: np.ndarray, a: int, b: int) -> np.ndarray:
     if n_max.bit_length() * a > _INT64_SAFE_BITS * b:
         return np.array(_floor_pow_each(ns.tolist(), a, b), dtype=object)
 
+    tol = _band(n_max, a, b)
+    if ns.size <= CHUNK:
+        return _floor_pow_slice(ns, a, b, tol)
+    out = np.empty(ns.size, dtype=np.int64)
+    for lo in range(0, ns.size, CHUNK):
+        out[lo : lo + CHUNK] = _floor_pow_slice(ns[lo : lo + CHUNK], a, b, tol)
+    return out
+
+
+def _band(n_max: int, a: int, b: int) -> float:
+    """The band half-width of _floor_pow_bulk: 10x the float64 error budget
+    of n^(a/b) at v_max = n_max^(a/b), for int64 n in [1, n_max]."""
     ef = a / b
     delta = abs(Fraction(ef) - Fraction(a, b))
     de = float(delta)
@@ -314,13 +326,7 @@ def _floor_pow_bulk(ns: np.ndarray, a: int, b: int) -> np.ndarray:
         de = nextafter(de, inf)
     dn = ef * 2.0**-53 if n_max >= 2**53 else 0.0
     v_max = float(n_max) ** ef
-    tol = 10.0 * v_max * (de * log(v_max) / ef + dn + 4.0 * 2.0**-53)
-    if ns.size <= CHUNK:
-        return _floor_pow_slice(ns, a, b, tol)
-    out = np.empty(ns.size, dtype=np.int64)
-    for lo in range(0, ns.size, CHUNK):
-        out[lo : lo + CHUNK] = _floor_pow_slice(ns[lo : lo + CHUNK], a, b, tol)
-    return out
+    return 10.0 * v_max * (de * log(v_max) / ef + dn + 4.0 * 2.0**-53)
 
 
 def _floor_pow_slice(ns: np.ndarray, a: int, b: int, tol: float) -> np.ndarray:
@@ -364,27 +370,94 @@ def _settle_band(ns: np.ndarray, m: np.ndarray, a: int, b: int, tol: float) -> n
 
 def is_ps_value_bulk(ks: np.ndarray, c: ExponentC) -> np.ndarray:
     """Whether each k >= 1 of an int64 array is a value floor(n^c), exactly:
-    the bulk is_ps_value.
-
-    With n0 = floor(k^(1/c)), k is a value when floor((n0+1)^c) = k or
-    floor(n0^c) = k.  The second holds only when n0^p = k^q, that is when
-    k = m^p is a perfect p-th power (and n0 = m^q), and every such k is a
-    value; so the perfect p-th powers are looked up, not computed.  The
-    input runs CHUNK elements at a time into one result, as in
-    _floor_pow_bulk, so the temporaries stay one slice long.
-    """
+    the bulk is_ps_value, read off value_preimages one CHUNK at a time, so
+    the int64 preimages stay one slice long."""
     ks = np.asarray(ks, dtype=np.int64)
-    if ks.size == 0:
-        return np.zeros(0, dtype=bool)
-    if int(ks.min()) < 1:
-        raise ValidationError("is_ps_value_bulk requires all k >= 1")
-    powers = np.arange(1, integer_root(int(ks.max()), c.p) + 1, dtype=np.int64) ** c.p
     out = np.empty(ks.size, dtype=bool)
     for lo in range(0, ks.size, CHUNK):
-        part = ks[lo : lo + CHUNK]
-        n0 = _floor_pow_bulk(part, c.q, c.p)
-        out[lo : lo + CHUNK] = (floor_pow_bulk(n0 + 1, c) == part) | in_sorted(powers, part)
+        out[lo : lo + CHUNK] = value_preimages(ks[lo : lo + CHUNK], c) > 0
     return out
+
+
+def value_preimages(ks: np.ndarray, c: ExponentC) -> np.ndarray:
+    """The preimage n of each k >= 1 of an int64 array that is a value
+    floor(n^c), and 0 for every other k, exactly.
+
+    With g = 1/c and n0 = floor(k^g), k is a value when
+    floor((n0+1)^c) = k, that is when n0 + 1 < (k+1)^g, with preimage
+    n0 + 1; or when floor(n0^c) = k, which holds only when k = m^p is a
+    perfect p-th power (n0 = m^q is then its preimage).  Either way k^g
+    lies in (N - d, N] for an integer N, d = (k+1)^g - k^g < g k_min^(g-1),
+    k_min the least k of its chunk.  In float64, z = k^g + r with
+    r = tol + g k_min^(g-1) errs by under tol (_band's at the chunk's
+    largest k: ten times the float error of k^g, which the rounded sum
+    adds half an ulp to), so z lands in (N, N + r + tol) and its
+    fractional part is at most r + tol.  One float64 pass keeps only such
+    k (all of them once r + tol reaches 1); every other k is no value.  The
+    kept k are settled exactly: floor((n0+1)^c) by floor_pow_bulk, and the
+    perfect p-th powers looked up, not computed, among the powers inside
+    the kept k's [min, max].  The input runs CHUNK elements at a time into
+    one result, as in _floor_pow_bulk, so the temporaries stay one slice
+    long.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    out = np.zeros(ks.size, dtype=np.int64)
+    if ks.size and int(ks.min()) < 1:
+        raise ValidationError("value_preimages requires all k >= 1")
+    g = c.q / c.p
+    for lo in range(0, ks.size, CHUNK):
+        part = ks[lo : lo + CHUNK]
+        tol = _band(int(part.max()), c.q, c.p)
+        # the float64 g k_min^(g-1) errs by a few ulp; 2^-30 covers it
+        r = tol + g * float(part.min()) ** (g - 1.0) * (1.0 + 2.0**-30)
+        if r + tol < 1.0:
+            z = part.astype(np.float64)
+            np.power(z, g, out=z)
+            z += r
+            z -= np.floor(z)
+            near = np.flatnonzero(z <= r + tol)
+            if near.size == 0:
+                continue
+            k = part[near]
+        else:
+            near, k = slice(None), part
+        n0 = _floor_pow_bulk(k, c.q, c.p)
+        pre = np.where(floor_pow_bulk(n0 + 1, c) == k, n0 + 1, 0)
+        m_lo, m_hi = integer_root(int(k.min()) - 1, c.p) + 1, integer_root(int(k.max()), c.p)
+        if m_lo <= m_hi:
+            power = in_sorted(np.arange(m_lo, m_hi + 1, dtype=np.int64) ** c.p, k)
+            pre[power] = n0[power]
+        out[lo : lo + CHUNK][near] = pre
+    return out
+
+
+def multiple_preimages(s: np.ndarray, V: int, c: ExponentC) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The values among the multiples of each modulus: (i, k, n) over every
+    value k = m s[i] <= V, m >= 1, with n its preimage, for int64 moduli
+    s >= 1 and V < 2^63, as one triple of arrays per chunk of multiples.
+
+    The multiples are numbered across the moduli in order, V // s[i] of
+    them for s[i], and pass through value_preimages CHUNK at a time: each
+    chunk is made from the moduli its numbers span, by repeating each
+    modulus and its first number, so no array of all the multiples is ever
+    held.  The triples come out in that order: ascending i, and ascending k
+    within each i.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    counts = V // s
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    total = int(ends[-1]) if s.size else 0
+    for lo in range(0, total, CHUNK):
+        hi = min(lo + CHUNK, total)
+        span = slice(*np.searchsorted(ends, [lo, hi - 1], side="right") + [0, 1])
+        reps = np.minimum(ends[span], hi) - np.maximum(firsts[span], lo)
+        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        ks -= np.repeat(firsts[span], reps)  # m
+        ks *= np.repeat(s[span], reps)
+        n = value_preimages(ks, c)
+        hit = np.flatnonzero(n)
+        yield np.searchsorted(ends, lo + hit, side="right"), ks[hit], n[hit]
 
 
 def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -397,7 +470,10 @@ def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def value_blocks(lo: int, hi: int, c: ExponentC) -> Iterator[np.ndarray]:
     """floor(n^c) for n = lo..hi in increasing order, exact: one
     floor_pow_bulk array per CHUNK consecutive preimages, so a harness that
-    reduces block by block holds one block of values at a time."""
+    reduces block by block holds one block of values at a time.  The
+    preimages are int64, so hi >= 2^63 is refused before any is made."""
+    if hi >= 2**63:
+        raise ValidationError(f"value_blocks takes int64 preimages, n <= 2^63 - 1; got hi = {hi}")
     for start in range(lo, hi + 1, CHUNK):
         yield floor_pow_bulk(np.arange(start, min(start + CHUNK, hi + 1), dtype=np.int64), c)
 

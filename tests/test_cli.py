@@ -209,7 +209,7 @@ def test_exit_code_validation_error(capsys):
 
 
 def test_exit_code_guard_error(capsys):
-    code, _, err = run(capsys, "experiment", "squarefree", "--x", "100000000", "--c", "3/2")
+    code, _, err = run(capsys, "experiment", "squarefree", "--x", "100000001", "--c", "3/2")
     assert code == 3 and "guard" in err.lower()
 
 

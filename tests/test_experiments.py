@@ -19,6 +19,7 @@ from pslab import (
     convolution_count,
     floor_pow,
     integer_root,
+    is_squarefree_bulk,
     large_pf_exceed,
     largest_prime_factor,
     residue_equidistribution,
@@ -26,6 +27,7 @@ from pslab import (
     square_divisor_sum,
     squarefree_density,
 )
+from pslab.pscore import value_blocks
 
 C32 = ExponentC(3, 2)
 C1110 = ExponentC(11, 10)
@@ -67,6 +69,37 @@ def test_squarefree_refuses_values_beyond_bulk_test_at_once():
         with pytest.raises(GuardError):
             squarefree_density(10**7, c)
         assert time.perf_counter() - t0 < 1.0
+
+
+C_SQUAREFREE = [ExponentC(*pq) for pq in [(3, 2), (8, 7), (17, 10), (21, 20), (1001, 1000), (19, 10)]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.sampled_from(C_SQUAREFREE), x=st.integers(1, 2 * 10**4))
+def test_squarefree_count_equals_the_per_block_factorization(c, x):
+    # the reference is the former route: factor_stream's squarefree flags
+    # over every value block; both the p^2 tests and the multiples run here
+    want = sum(int(np.count_nonzero(is_squarefree_bulk(v))) for v in value_blocks(1, x, c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert squarefree_density(x, c).observed == want
+
+
+@pytest.mark.parametrize(
+    "c, count", [((3, 2), 595619), ((8, 7), 608480), ((8, 5), 607439), ((19, 10), 607912)]
+)
+def test_squarefree_counts_at_1e6(c, count):
+    # the counts of the per-block factorization, frozen
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert squarefree_density(10**6, ExponentC(*c)).observed == count
+
+
+def test_squarefree_x_guard_refuses_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError, match="squarefree"):
+        squarefree_density(10**8 + 1, C32)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_chebyshev_hand_values():
@@ -266,6 +299,49 @@ def test_square_divisor_single_d_cross_check():
         x, C32, 4, lambda ds: (ds == d).astype(float)
     )
     assert lhs == float(direct)
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=st.sampled_from([C32, ExponentC(8, 7), ExponentC(19, 10)]), x=st.integers(1, 5000), data=st.data())
+def test_square_divisor_lhs_equals_a_per_block_remainder_count(c, x, data):
+    # lhs against the remainders of every d^2 over the value blocks, in d
+    # order, with some zero weights; D up to x^(c/2), and often next to it,
+    # so scanned d, d counted by their multiples and d^2 above every value
+    D_top = integer_root(floor_pow(x, c), 2)
+    D = data.draw(st.one_of(st.integers(1, D_top), st.integers(max(1, D_top - 3), D_top)))
+
+    def z(ds):
+        return np.log(ds.astype(np.float64)) * (ds % 3 != 0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lhs, _ = square_divisor_sum(x, c, D, z)
+    ds = np.arange(D + 1, 2 * D + 1, dtype=np.int64)
+    want = 0.0
+    for w, d in zip(z(ds).tolist(), ds.tolist()):
+        if w != 0.0:
+            want += w * sum(int(np.count_nonzero(v % (d * d) == 0)) for v in value_blocks(1, x, c))
+    assert lhs == want
+
+
+def test_square_divisor_work_guard_counts_the_cheaper_side():
+    # x*D = 3*10^9 is past the guard, but each d ~ 3000 has at most 111
+    # multiples of d^2 up to 10^9 at c = 3/2; at c = 5/2 every d has more
+    # than x, so the work is x*D and is refused
+    x, D = 10**6, 3000
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # D beyond x^(2-c)
+        lhs, _ = square_divisor_sum(x, C32, D, np.ones_like)
+    vals = np.concatenate(list(value_blocks(1, x, C32)))
+    want = 0
+    for d in range(D + 1, 2 * D + 1):
+        multiples = d * d * np.arange(1, int(vals[-1]) // (d * d) + 1)
+        want += int(np.count_nonzero(vals[np.searchsorted(vals, multiples)] == multiples))
+    assert lhs == float(want)
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError, match="square-divisor work"):
+        square_divisor_sum(x, ExponentC(5, 2), 10**4, np.ones_like)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_residue_equidistribution_exactness():

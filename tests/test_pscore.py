@@ -430,6 +430,73 @@ def test_is_ps_value_bulk_runs_by_chunk():
 C_WINDOWS = [ExponentC(*pq) for pq in [(3, 2), (8, 7), (17, 10), (21, 20), (1001, 1000)]]
 
 
+def test_value_blocks_refuse_preimages_beyond_int64():
+    # np.arange over Python ints that reach 2^63 wraps to -2^63 or turns to
+    # float64; the refusal names the int64 preimage range and comes first
+    for lo, hi in [(2**63 - 2, 2**63), (2**64, 2**64 + 1)]:
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError, match="int64 preimages"):
+            next(pscore.value_blocks(lo, hi, C32))
+        assert time.perf_counter() - t0 < 1.0
+    # the last int64 preimage is still taken, on the exact object route
+    (block,) = pscore.value_blocks(2**63 - 2, 2**63 - 1, C32)
+    assert [int(v) for v in block] == [floor_pow(2**63 - 2, C32), floor_pow(2**63 - 1, C32)]
+
+
+def _multiples_found(s, V, c):
+    found = list(pscore.multiple_preimages(np.array(s, dtype=np.int64), V, c))
+    return [(int(i), int(k), int(n)) for part in found for i, k, n in zip(*part)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.sampled_from(C_WINDOWS), power=st.booleans(), data=st.data())
+def test_multiple_preimages_match_exact_per_value_checks(c, power, data):
+    # moduli that divide a value a (a floor, or a perfect p-th power, the
+    # one kind whose preimage is floor(a^(1/c)) itself) and one drawn up to
+    # V, each with a few dozen multiples at most, from 1 to 2^62; every
+    # multiple is decided again by the scalar is_ps_value
+    bits = data.draw(st.integers(1, 62))
+    if power:
+        a = data.draw(st.integers(1, integer_root(2**bits, c.p))) ** c.p
+    else:
+        a = floor_pow(data.draw(st.integers(1, pscore.last_preimage(2**bits, c))), c)
+    V = data.draw(st.integers(a, a + a // 2))
+    moduli = [a, a // math.gcd(a, data.draw(st.integers(1, 8))), data.draw(st.integers(max(1, V // 32), V))]
+    want = []
+    for i, s in enumerate(moduli):
+        for m in range(1, V // s + 1):
+            w = is_ps_value(m * s, c)
+            if w.is_member:
+                want.append((i, m * s, w.preimage))
+    assert (0, a, is_ps_value(a, c).preimage) in want
+    assert _multiples_found(moduli, V, c) == want
+
+
+@pytest.mark.parametrize("c", C_WINDOWS + [ExponentC(19, 10)])
+def test_multiple_preimages_of_small_moduli_against_the_value_blocks(c):
+    # every multiple of s up to V, s = 1 among them, against the divisible
+    # values of value_blocks, in (modulus, value) order; moduli above V and
+    # a bound between two values give none beyond them
+    V = 10**5 + 1
+    s = [1, 4, 6, 9, 25, 49, 1000, 99991, V, V + 1]
+    n_top = pscore.last_preimage(V, c)
+    vals = np.concatenate(list(pscore.value_blocks(1, n_top, c)))
+    want = [(i, int(vals[n - 1]), n) for i, m in enumerate(s) for n in (np.flatnonzero(vals % m == 0) + 1).tolist()]
+    assert _multiples_found(s, V, c) == want
+    assert _multiples_found([], V, c) == [] and _multiples_found([7], 6, c) == []
+
+
+def test_is_ps_value_bulk_takes_each_chunk_s_perfect_powers_from_its_own_range():
+    # chunks far below and far above most of the perfect p-th powers: the
+    # same answers as is_ps_value at every power and its neighbours
+    cubes = np.array([m**3 for m in range(1, 2 * 10**5, 997)], dtype=np.int64)
+    ks = np.concatenate([np.arange(1, pscore.CHUNK + 1, dtype=np.int64), cubes - 1, cubes, cubes + 1])
+    ks = ks[ks >= 1]
+    got = is_ps_value_bulk(ks, C32)
+    pick = np.r_[0 : 50, pscore.CHUNK - 50 : ks.size]
+    assert got[pick].tolist() == [is_ps_value(int(k), C32).is_member for k in ks[pick]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(c=st.sampled_from(C_WINDOWS), at_fit=st.booleans(), data=st.data())
 def test_floor_pow_bulk_windows_match_floor_pow(c, at_fit, data):

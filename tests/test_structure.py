@@ -150,8 +150,8 @@ def test_one_value_generator():
 
     assert _count(r"_values_upto|ps_value_chunks") == 0
     # every value array is built by pscore.value_blocks, block by block;
-    # is_ps_value_bulk is the one other caller, for its candidate preimages
-    assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "is_ps_value_bulk"), ("pscore.py", "value_blocks")]
+    # value_preimages is the one other caller, for its candidate preimages
+    assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "value_blocks"), ("pscore.py", "value_preimages")]
     # and factor_stream factors what it is given, with no slicing of its own
     assert "CHUNK" not in inspect.getsource(arith.factor_stream)
 
