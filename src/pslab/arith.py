@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, log, prod
+from typing import Iterator
 
 import numpy as np
 
@@ -483,24 +484,33 @@ def factor_stream(values: np.ndarray) -> FactorStream:
     return FactorStream(bound, primes, hits, small_max, cofactor, root, squarefree)
 
 
-def has_square_factor(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Whether p^2 divides each int64 value in [0, 2^63) for some p of the
-    ascending primes, in one division-free pass per prime.
+def divisible(values: np.ndarray, moduli: np.ndarray) -> Iterator[np.ndarray]:
+    """Whether m divides each value in [0, 2^63), one bool array per
+    modulus m >= 1 in turn, each overwritten by the next.
 
-    As in factor_stream, the values are unsigned w-bit words (w = 32 when
-    the largest fits, else 64), and odd p^2 divides u exactly when
-    u * inv(p^2) mod 2^w <= (2^w - 1) // p^2, with inv(p^2) the inverse of
-    p^2 mod 2^w: one multiply and one compare.  p = 2 is v & 3 == 0.
+    As in factor_stream, the values are w-bit words, and odd o divides u
+    exactly when u * inv(o) mod 2^w <= (2^w - 1) // o, inv(o) the inverse
+    of o mod 2^w.  So m = 2^k o takes one multiply and one compare for o,
+    and u & (2^k - 1) == 0 for 2^k, the mask all w bits from k = w on.
     """
     v = np.asarray(values, dtype=np.int64)
-    word = np.uint32 if v.size == 0 or int(v.max()) < 2**32 else np.uint64
-    top = (1 << np.iinfo(word).bits) - 1
-    out = (v & 3) == 0 if primes.size and primes[0] == 2 else np.zeros(v.shape, dtype=bool)
-    u = v.astype(word)
-    prod, hit = np.empty_like(u), np.empty(v.shape, dtype=bool)
-    for p in primes[primes > 2].tolist():
-        np.multiply(u, word(pow(p * p, -1, top + 1)), out=prod)
-        np.less_equal(prod, word(top // (p * p)), out=hit)
+    u = v.astype(np.uint32 if v.size == 0 or int(v.max()) < 2**32 else np.uint64)
+    word, w = u.dtype.type, 8 * u.dtype.itemsize
+    prod, hit = np.empty_like(u), np.empty(u.shape, dtype=bool)
+    for m in moduli.tolist():
+        k = (m & -m).bit_length() - 1
+        np.multiply(u, word(pow(m >> k, -1, 1 << w)), out=prod)
+        np.less_equal(prod, word(((1 << w) - 1) // (m >> k)), out=hit)
+        if k:
+            hit &= (u & word((1 << min(k, w)) - 1)) == 0
+        yield hit
+
+
+def has_square_factor(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Whether p^2 divides each value in [0, 2^63) for some p of the
+    primes: the OR of divisible over the p^2."""
+    out = np.zeros(np.shape(values), dtype=bool)
+    for hit in divisible(values, primes * primes):
         out |= hit
     return out
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .arith import SQUAREFREE_BULK_MAX, _simple_sieve, factor_stream, has_square_factor
+from .arith import SQUAREFREE_BULK_MAX, _simple_sieve, divisible, factor_stream, has_square_factor
 from .arith import is_squarefree_bulk  # unused here; perfbench/tracing.py wraps this name
 from .arith import factorize, primes_up_to  # unused here; perfbench/tracing.py wraps these names
 from .errors import GuardError, ValidationError, check_range
@@ -38,25 +38,21 @@ POWER_BAND = 2.0**-30
 CONVOLUTION_K_GUARD = 5 * 10**4
 CONVOLUTION_LOOKUP_GUARD = 2 * 10**7
 CONVOLUTION_EPS = Fraction(1, 100)  # the dyadic box: K = x^(c-1+6 eps), L = x^(1-6 eps)/5
-# square_divisor_sum's work: per d, x remainders on the value blocks or
-# V // d^2 multiples through pscore.multiple_preimages, V = floor(x^c).
-# One multiple costs about as much as REMAINDERS_PER_MULTIPLE remainders
-# (crossover at V/d^2 = 0.15-0.25 x for c = 8/7, 3/2, 19/10), and each d
-# takes the cheaper.  The guard bounds sum_d min(x, V // d^2), the
-# elements visited: at x = 10^6 that sum is 2*10^9 remainders at c = 5/2,
-# D = 2000 (8.3 s), and 1.08*10^9 multiples at c = 20/9, D = 10^4 (16 s)
+# square_divisor_sum's work: each d costs at most min(x, V // d^2)
+# elements, V = floor(x^c), tests or multiples as _by_multiples picks, and
+# the guard bounds their sum: at x = 10^6, 2*10^9 tests at c = 5/2,
+# D = 2000 (2.6-2.8 s), 1.08*10^9 multiples at c = 20/9, D = 10^4 (11-13 s)
 SQUARE_DIVISOR_WORK_GUARD = 2 * 10**9
-REMAINDERS_PER_MULTIPLE = 5
-# its D weights and d^2 as arrays, and D numpy calls per block: 0.2 s, 39 MB
-# at x = 2; 8 s at x = 2*10^4, where x*D meets the work guard too
+# its D weights and d^2 as arrays, and up to D kernel passes per block: 0.56 s
+# at x = 2, c = 121/2; 2.4-2.5 s at x = 2*10^4, c = 16/5, x*D at the work guard
 SQUARE_DIVISOR_D_GUARD = 10**5
-# squarefree_density's cost rule: one multiple through
-# pscore.multiple_preimages costs about as much as this many p^2 tests of
-# arith.has_square_factor on the value blocks, for uint32 and uint64 words
-# (indexed by V >= 2^32).  Per element that is 10-20 ns against 0.45 and
-# 1.0 ns; these two were the fastest of a sweep over 30/10 ... 240/80 at
-# x = 10^6 (c = 3/2, 8/7, 19/10) and 10^7 (8/7, 8/5, 3/2) on a 2-core Xeon,
-# within 5% of each other from 30/10 to 120/40
+# _by_multiples' cost rule: one multiple through pscore.multiple_preimages
+# costs about as much as this many tests of arith.divisible on the value
+# blocks, for uint32 and uint64 words (indexed by V >= 2^32).  Per element
+# that is 10-20 ns against 0.45 and 1.0 ns; these two were the fastest of a
+# sweep over 30/10 ... 240/80 in squarefree_density at x = 10^6 (c = 3/2,
+# 8/7, 19/10) and 10^7 (8/7, 8/5, 3/2) on a 2-core Xeon, within 5% of each
+# other from 30/10 to 120/40
 MULTIPLE_COST = (60, 20)
 Exponent = Union[float, Fraction]
 
@@ -97,13 +93,20 @@ class ExperimentReport:
     CSV_HEADER = "experiment,param_json,observed,reference,ratio,runtime_ms"
 
 
-def _check_values(x: int, c: ExponentC) -> None:
-    """Refuse, before generating anything, values beyond
-    M = SQUAREFREE_BULK_MAX, factor_stream's limit and the end of
-    squarefree_density's sieve at sqrt(M): floor(x^c) > M exactly when
+def _check_values(x: int, c: ExponentC, M: int = SQUAREFREE_BULK_MAX) -> None:
+    """Refuse, before generating anything, values beyond M: by default
+    SQUAREFREE_BULK_MAX, factor_stream's limit and the end of
+    squarefree_density's sieve at sqrt(M).  floor(x^c) > M exactly when
     M + 1 > x^c fails."""
-    if not exceeds(SQUAREFREE_BULK_MAX + 1, x, Fraction(c.p, c.q)):
-        raise GuardError(f"floor({x}^{c}) exceeds the factorization guard {SQUAREFREE_BULK_MAX:.0e}")
+    if not exceeds(M + 1, x, Fraction(c.p, c.q)):
+        raise GuardError(f"floor({x}^{c}) exceeds the value guard {M:.3g}")
+
+
+def _by_multiples(s: np.ndarray, V: int, x: int) -> np.ndarray:
+    """The cost rule: whether each modulus s is counted from its V // s
+    multiples (pscore.multiple_preimages) rather than tested on the x
+    values (arith.divisible): MULTIPLE_COST * (V // s) < x, in int64."""
+    return V // s < -(-x // MULTIPLE_COST[V >= 2**32])
 
 
 def _ms_since(t0: float) -> int:
@@ -114,18 +117,11 @@ def squarefree_density(x: int, c: ExponentC) -> ExperimentReport:
     """#{n <= x : floor(n^c) squarefree} against the density (6/pi^2) x.
 
     A value k <= V = floor(x^c) is squarefree when no p^2 divides it, p a
-    prime up to sqrt(V), and the primes split at P0.  Those up to P0 are
-    tested on every value, block by block (arith.has_square_factor: one
-    multiply and one compare per value and prime).  Those above P0 visit
-    only the multiples of p^2 up to V, and pscore.multiple_preimages keeps
-    the ones that are values: about x / (P0 log P0) in all.  Each of these,
-    counted once, that no p <= P0 marked is taken off the dense count.
-
-    P0 is a cost rule.  A prime costs x dense tests on the blocks, or V/p^2
-    multiples, one multiple costing about MULTIPLE_COST dense tests, so the
-    multiples are the cheaper from p^2 > MULTIPLE_COST * V/x on:
-    P0 = isqrt(MULTIPLE_COST * V // x), the cost taken for the word size of
-    V (uint32 below 2^32, else uint64).
+    prime up to sqrt(V).  _by_multiples splits the primes by cost: the
+    small p^2 are tested on every value block (arith.has_square_factor),
+    and the large ones visit only their multiples up to V, of which
+    pscore.multiple_preimages keeps the values.  Each of these, counted
+    once, that no small p^2 divides is taken off the dense count.
     """
     # x-guard: 11 s, 42 MB at (10^8, 3/2); 1.9 s, 48 MB at (10^8, 8/7)
     check_range(x, 1, 10**8, "squarefree")
@@ -135,8 +131,8 @@ def squarefree_density(x: int, c: ExponentC) -> ExperimentReport:
     t0 = time.perf_counter()
     V = _floor_pow(x, c.p, c.q)
     primes = _simple_sieve(isqrt(V))
-    P0 = isqrt(MULTIPLE_COST[V >= 2**32] * V // x)
-    small, large = primes[primes <= P0], primes[primes > P0]
+    sparse = _by_multiples(primes * primes, V, x)
+    small, large = primes[~sparse], primes[sparse]
     observed = sum(v.size - int(np.count_nonzero(has_square_factor(v, small))) for v in value_blocks(1, x, c))
     found = [np.zeros(0, dtype=np.int64)] + [k for _, k, _ in multiple_preimages(large * large, V, c)]
     marked = np.sort(np.concatenate(found))
@@ -249,36 +245,30 @@ def square_divisor_sum(
     if D < 1:
         raise ValidationError("D must be >= 1")
     check_range(x, 1, 10**6, "square-divisor")
+    _check_values(x, c, 2**63 - 1)  # V below is int64, and so are the values tested
     e = Fraction(c.p, c.q)
     if exceeds(D, x, e / 2):
         raise ValidationError(f"D={D} exceeds x^(c/2)")
     check_range(D, 1, SQUARE_DIVISOR_D_GUARD, "square-divisor D", name="D")
     ds = np.arange(D + 1, 2 * D + 1, dtype=np.int64)
-    # V // d^2 multiples against x values per d, V = floor(x^c) capped at
-    # x (2D)^2: a capped V leaves every d at least x multiples, so every d
-    # scans (REMAINDERS_PER_MULTIPLE >= 1), and a huge V is never formed
-    V = _floor_pow(x, c.p, c.q) if exceeds(x * 4 * D * D, x, e) else x * 4 * D * D
-    multiples = V // ds**2
-    visits = np.minimum(multiples, x)
+    V = _floor_pow(x, c.p, c.q)
+    visits = np.minimum(V // ds**2, x)
     check_range(int(visits.sum()), 0, SQUARE_DIVISOR_WORK_GUARD, "square-divisor work", name="sum of min(x, x^c/d^2)")
     if exceeds(D, x, 2 - e):
         warnings.warn("D beyond x^(2-c): outside the proven main-term range")
     zd = np.asarray(z(ds), dtype=np.float64)
     if zd.size and np.max(np.abs(zd)) > 2.0 * np.log(np.maximum(ds, 2)).max() + 1e-9:
         warnings.warn("weights exceed the 2 log d envelope")
-    # the nonzero weights and their d^2 in d order; a d whose multiples
-    # cost less than the scan counts the values among them, any other d
-    # scans the value blocks; lhs is the sum in d order
+    # the nonzero weights and their d^2 in d order, each d counted as
+    # _by_multiples picks; lhs is the sum in d order
     nonzero = zd != 0.0
     squares, weights = ds[nonzero] ** 2, zd[nonzero]
-    sparse = REMAINDERS_PER_MULTIPLE * multiples[nonzero] < x
+    sparse = _by_multiples(squares, V, x)
     counts = np.zeros(squares.size, dtype=np.int64)
     which = [np.zeros(0, dtype=np.int64)] + [i for i, _, _ in multiple_preimages(squares[sparse], V, c)]
     counts[sparse] = np.bincount(np.concatenate(which), minlength=int(np.count_nonzero(sparse)))
-    scanned = np.flatnonzero(~sparse)
-    for vals in value_blocks(1, x, c) if scanned.size else ():
-        for j, dd in zip(scanned.tolist(), squares[scanned].tolist()):
-            counts[j] += np.count_nonzero(vals % dd == 0)
+    for vals in value_blocks(1, x, c) if not sparse.all() else ():
+        counts[~sparse] += [np.count_nonzero(hit) for hit in divisible(vals, squares[~sparse])]
     lhs = 0.0
     for w, n in zip(weights.tolist(), counts.tolist()):
         lhs += w * n

@@ -17,7 +17,7 @@ from pslab import (
     largest_prime_factor,
     primes_up_to,
 )
-from pslab.arith import SEGMENT_SIZE, _simple_sieve
+from pslab.arith import SEGMENT_SIZE, _simple_sieve, divisible
 
 # classical prime counts pi(10^k)
 PI_TABLE = {10: 4, 100: 25, 10**3: 168, 10**4: 1229, 10**6: 78498}
@@ -43,7 +43,7 @@ def test_sieve_segmented_matches_simple():
 
 
 def test_sieve_one_route_matches_simple_sieve():
-    from pslab.arith import SEGMENT_SIZE, _simple_sieve
+    from pslab.arith import SEGMENT_SIZE, _simple_sieve, divisible
 
     limits = [*range(3000), SEGMENT_SIZE - 1, SEGMENT_SIZE, SEGMENT_SIZE + 1, 2 * SEGMENT_SIZE + 7]
     for limit in limits:
@@ -308,6 +308,30 @@ def test_factor_stream_blocks_at_both_widths(top):
         assert fs.root[i] == math.isqrt(cofactor)
         assert fs.squarefree[i] == all(e == 1 for _, e in entries)
         assert P[i] == (entries[-1][0] if entries else 1)
+
+
+_ODD = st.integers(0, 1_500_000_000).map(lambda o: 2 * o + 1)
+_MODULI = st.one_of(
+    st.just(1),
+    st.integers(0, 62).map(lambda k: 2**k),
+    st.tuples(st.integers(1, 15), st.integers(0, 5000)).map(lambda t: 4 ** t[0] * (2 * t[1] + 1) ** 2),
+    _ODD.map(lambda o: o * o),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(top=st.sampled_from([2**32 - 1, 2**63 - 1]), moduli=st.lists(_MODULI, min_size=1, max_size=6), data=st.data())
+def test_divisible_matches_remainders(top, moduli, data):
+    # moduli 1, powers of 2 and squares, even (2^2k o^2) and odd, up to
+    # 9e18, so many lie above every value; values up to top, both sides
+    # of 2^32 (uint32 and uint64 words), powers of 2 and multiples of the
+    # moduli, and always 0, 2^31 and top
+    multiple = st.sampled_from(moduli).flatmap(lambda m: st.integers(0, top // m).map(lambda r: r * m))
+    near = st.integers(2**32 - 4096, min(top, 2**32 + 4096))
+    power = st.integers(0, top.bit_length() - 1).map(lambda k: 2**k)
+    values = [0, 2**31, top] + data.draw(st.lists(st.one_of(st.integers(0, top), near, power, multiple)))
+    got = [hit.tolist() for hit in divisible(np.array(values, dtype=np.int64), np.array(moduli, dtype=np.int64))]
+    assert got == [[v % m == 0 for v in values] for m in moduli]
 
 
 @pytest.mark.parametrize("top", [4_759_123_140, 4_759_123_141, 4_759_123_142])

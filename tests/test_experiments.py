@@ -301,13 +301,23 @@ def test_square_divisor_single_d_cross_check():
     assert lhs == float(direct)
 
 
+# the range of x and the largest D drawn per exponent: at c = 5/2, x lies
+# past 2^(32/c), so the values are uint64 words, and every d ~ D <= 1000
+# tests the blocks
+_SQUARE_DIVISOR_DRAWS = {C32: (1, 5000, 10**5), ExponentC(8, 7): (1, 5000, 10**5),
+                         ExponentC(19, 10): (1, 5000, 10**5), ExponentC(5, 2): (7200, 10**4, 1000)}
+
+
 @settings(max_examples=30, deadline=None)
-@given(c=st.sampled_from([C32, ExponentC(8, 7), ExponentC(19, 10)]), x=st.integers(1, 5000), data=st.data())
-def test_square_divisor_lhs_equals_a_per_block_remainder_count(c, x, data):
-    # lhs against the remainders of every d^2 over the value blocks, in d
-    # order, with some zero weights; D up to x^(c/2), and often next to it,
-    # so scanned d, d counted by their multiples and d^2 above every value
-    D_top = integer_root(floor_pow(x, c), 2)
+@given(c=st.sampled_from(list(_SQUARE_DIVISOR_DRAWS)), data=st.data())
+def test_square_divisor_lhs_equals_a_per_block_remainder_count(c, data):
+    # lhs against the remainders of every d^2 over the values, in d order,
+    # with some zero weights; D up to x^(c/2), and often next to it, so d
+    # tested on the blocks, d counted by their multiples and d^2 above
+    # every value
+    x_min, x_max, D_max = _SQUARE_DIVISOR_DRAWS[c]
+    x = data.draw(st.integers(x_min, x_max))
+    D_top = min(integer_root(floor_pow(x, c), 2), D_max)
     D = data.draw(st.one_of(st.integers(1, D_top), st.integers(max(1, D_top - 3), D_top)))
 
     def z(ds):
@@ -317,11 +327,29 @@ def test_square_divisor_lhs_equals_a_per_block_remainder_count(c, x, data):
         warnings.simplefilter("ignore")
         lhs, _ = square_divisor_sum(x, c, D, z)
     ds = np.arange(D + 1, 2 * D + 1, dtype=np.int64)
+    vals = np.concatenate(list(value_blocks(1, x, c)))
     want = 0.0
     for w, d in zip(z(ds).tolist(), ds.tolist()):
         if w != 0.0:
-            want += w * sum(int(np.count_nonzero(v % (d * d) == 0)) for v in value_blocks(1, x, c))
+            want += w * int(np.count_nonzero(vals % (d * d) == 0))
     assert lhs == want
+
+
+def test_square_divisor_refuses_values_past_int64_and_counts_object_blocks():
+    # floor((10^6)^(16/5)) ~ 10^19.2 >= 2^63 is refused before any value is
+    # made; at (530000, 47/15) the blocks from n = 2^19 on are object
+    # arrays, but every value lies below 2^63
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError, match="value guard"):
+        square_divisor_sum(10**6, ExponentC(16, 5), 2000, np.ones_like)
+    assert time.perf_counter() - t0 < 1.0
+    x, c = 530000, ExponentC(47, 15)
+    vals = np.concatenate(list(value_blocks(1, x, c)))
+    assert vals.dtype == object and vals[-1] < 2**63
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # c beyond 2: D beyond x^(2-c)
+        lhs, _ = square_divisor_sum(x, c, 5, np.ones_like)
+    assert lhs == sum(int(np.count_nonzero(vals % (d * d) == 0)) for d in range(6, 11))
 
 
 def test_square_divisor_work_guard_counts_the_cheaper_side():

@@ -2,9 +2,10 @@
 constant, no smallest-prime-factor table route, one vectorized route in
 floor_pow_bulk, one value generator, one sorted-array membership lookup,
 one sieve route, one exact rational power in pscore, one e(x), reports
-built once, and each job done by the call that already does it; nothing is
-read from the environment, and the command line has no root options and
-names each command once."""
+built once, one square-divisibility test and one cost rule for it, and
+each job done by the call that already does it; nothing is read from the
+environment, and the command line has no root options and names each
+command once."""
 import inspect
 import re
 from pathlib import Path
@@ -176,3 +177,13 @@ def test_deciles_come_from_one_percentile_call():
 
 def test_only_experiments_spells_the_decile_keys():
     assert "d{k}0" not in SOURCES["cli.py"]
+
+
+def test_one_square_divisibility_test_and_one_cost_rule():
+    source = SOURCES["experiments.py"]
+    assert not hasattr(experiments, "REMAINDERS_PER_MULTIPLE")
+    # no remainder by d^2 in the harnesses; the residue count's % q stays
+    assert re.findall(r"% ?dd|% \(d", source) == []
+    assert "% q" in source
+    assert _sites(r"MULTIPLE_COST\[") == [("experiments.py", "_by_multiples")]
+    assert {name for name, _ in _sites(r"pow\(.*, -1,")} == {"arith.py"}
