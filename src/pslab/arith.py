@@ -427,10 +427,8 @@ def factor_stream(values: np.ndarray) -> FactorStream:
     The bound is the cube root of the largest of these values, so a block
     of small values is divided by fewer primes.  One division-free pass
     over the values, held as unsigned w-bit words (w = 32 when the largest
-    value fits, else 64): odd p divides u exactly when
-    u * inv(p) mod 2^w <= (2^w - 1) // p, with inv(p) the inverse of p mod
-    2^w (Granlund and Montgomery, PLDI 1994, section 9), and then that
-    product is the exact quotient u/p, which the p^2 test and the
+    value fits, else 64), tests each odd p by _inverses, whose product
+    u * inv(p) is then the exact quotient u/p, which the p^2 test and the
     divide-out reuse.  The power of 2 dividing u is its lowest set bit,
     shifted out at once.
     """
@@ -443,7 +441,6 @@ def factor_stream(values: np.ndarray) -> FactorStream:
     primes = _SMALL_PRIMES[: int(np.searchsorted(_SMALL_PRIMES, bound, side="right"))]
 
     word = np.uint32 if v_max < 2**32 else np.uint64
-    top = (1 << np.iinfo(word).bits) - 1
     r = v.astype(word)
     squarefree = np.ones(v.shape, dtype=bool)
     small_max = np.ones(v.shape, dtype=np.int16)  # the primes end below 2^15
@@ -456,8 +453,7 @@ def factor_stream(values: np.ndarray) -> FactorStream:
         squarefree[low > 2] = False
         r >>= np.bitwise_count(low - 1)
     prod, hit = np.empty_like(r), np.empty(r.shape, dtype=bool)
-    for i, p in enumerate(primes[1:].tolist(), 1):
-        inv, lim = word(pow(p, -1, top + 1)), word(top // p)
+    for i, (p, inv, lim) in enumerate(zip(primes[1:].tolist(), *_inverses(primes[1:], word)), 1):
         np.multiply(r, inv, out=prod)
         np.less_equal(prod, lim, out=hit)
         idx = np.flatnonzero(hit)
@@ -484,25 +480,38 @@ def factor_stream(values: np.ndarray) -> FactorStream:
     return FactorStream(bound, primes, hits, small_max, cofactor, root, squarefree)
 
 
+def _inverses(odd: np.ndarray, word: type) -> tuple[np.ndarray, np.ndarray]:
+    """(inv, lim) as w-bit words of type word for odd int64 moduli o: o
+    divides a word u exactly when u * inv mod 2^w <= lim = (2^w - 1) // o,
+    and that product is then u/o (Granlund and Montgomery, PLDI 1994, §9).
+    inv = o^-1 mod 2^64 by Newton's inv <- inv (2 - o inv) from inv = o,
+    right to 3 bits (o^2 = 1 mod 8) and doubling them each step: five steps
+    reach 96.  lim comes from the full modulus in uint64, so an o above 2^w
+    has lim 0 and divides only 0."""
+    o = np.asarray(odd, dtype=np.uint64)
+    inv = o.copy()
+    for _ in range(5):
+        inv *= 2 - o * inv
+    return inv.astype(word), (np.uint64(np.iinfo(word).max) // o).astype(word)
+
+
 def divisible(values: np.ndarray, moduli: np.ndarray) -> Iterator[np.ndarray]:
-    """Whether m divides each value in [0, 2^63), one bool array per
+    """Whether m divides each value in [0, 2^63), one bool array per int64
     modulus m >= 1 in turn, each overwritten by the next.
 
-    As in factor_stream, the values are w-bit words, and odd o divides u
-    exactly when u * inv(o) mod 2^w <= (2^w - 1) // o, inv(o) the inverse
-    of o mod 2^w.  So m = 2^k o takes one multiply and one compare for o,
-    and u & (2^k - 1) == 0 for 2^k, the mask all w bits from k = w on.
+    As in factor_stream, the values are w-bit words: m = 2^k o takes one
+    multiply and one compare for o (_inverses), and u & (2^k - 1) == 0 for
+    2^k, the int64 mask cut to w bits, all of them from k = w on.
     """
     v = np.asarray(values, dtype=np.int64)
     u = v.astype(np.uint32 if v.size == 0 or int(v.max()) < 2**32 else np.uint64)
-    word, w = u.dtype.type, 8 * u.dtype.itemsize
+    low = moduli & -moduli
     prod, hit = np.empty_like(u), np.empty(u.shape, dtype=bool)
-    for m in moduli.tolist():
-        k = (m & -m).bit_length() - 1
-        np.multiply(u, word(pow(m >> k, -1, 1 << w)), out=prod)
-        np.less_equal(prod, word(((1 << w) - 1) // (m >> k)), out=hit)
-        if k:
-            hit &= (u & word((1 << min(k, w)) - 1)) == 0
+    for inv, lim, mask in zip(*_inverses(moduli // low, u.dtype.type), (low - 1).astype(u.dtype)):
+        np.multiply(u, inv, out=prod)
+        np.less_equal(prod, lim, out=hit)
+        if mask:
+            hit &= (u & mask) == 0
         yield hit
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd, inf, isqrt, log, log2, nextafter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .errors import ValidationError, check_range
 
 CHUNK = 1 << 16  # fixed reduction and generation chunk, keeps float sums deterministic
 DECOMPOSITION_K_GUARD = 10**8
-# preimages walked by ps_values_in, one exact floor each: up to about 0.85 ms
-# each at exponents like 701/700, where n^a falls just under EXACT_BITS bits
+# preimages ps_values_in reads from value_blocks; at 501/500 near 2^62 all
+# take the object route, one exact floor each: about 14 s at the limit
 PS_VALUES_GUARD = 2 * 10**4
 EXACT_BITS = 1 << 15  # n^a up to this many bits is rooted in integers (see _floor_pow)
 INTERVAL_ORDER_MIN = 16  # an enclosure of n^(a/b) needs about bits(n^a)/b bits: it pays for large b
@@ -208,20 +208,20 @@ def is_ps_value(k: int, c: ExponentC) -> PsWitness:
 
 
 def ps_values_in(lo: int, hi: int, c: ExponentC) -> Iterator[PsWitness]:
-    """Stream the values of the sequence inside [lo, hi], in increasing order,
-    from the preimage floor(lo^(1/c)), whose value is at most lo; floor(n^c)
-    strictly increases with n.  Unlike value_blocks it takes a range of
-    values, not of preimages.  The preimages to walk are counted first, and
-    more than PS_VALUES_GUARD of them raise GuardError before any value.
+    """Stream the values of the sequence inside [lo, hi], in increasing order:
+    a filter over value_blocks from the preimage floor(lo^(1/c)), whose value
+    is at most lo, to last_preimage(hi); floor(n^c) strictly increases with
+    n.  The preimages are counted first, and more than PS_VALUES_GUARD of
+    them raise GuardError before any value.
     """
     if lo < 1 or hi < lo:
         raise ValidationError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    n = _floor_pow(lo, c.q, c.p)
-    check_range(last_preimage(hi, c) - n + 1, 1, PS_VALUES_GUARD, "value-stream", name="preimages")
-    while (k := _floor_pow(n, c.p, c.q)) <= hi:
-        if k >= lo:
-            yield PsWitness(k, n)
-        n += 1
+    n_lo, n_hi = _floor_pow(lo, c.q, c.p), last_preimage(hi, c)
+    check_range(n_hi - n_lo + 1, 1, PS_VALUES_GUARD, "value-stream", name="preimages")
+    for start, vals in zip(range(n_lo, n_hi + 1, CHUNK), value_blocks(n_lo, n_hi, c)):
+        for i, k in enumerate(vals.tolist()):
+            if k >= lo:
+                yield PsWitness(k, start + i)
 
 
 def count_decomposition(
@@ -305,7 +305,7 @@ def _floor_pow_bulk(ns: np.ndarray, a: int, b: int) -> np.ndarray:
     if int(ns.min()) < 1:
         raise ValidationError("floor_pow_bulk requires all n >= 1")
     if n_max.bit_length() * a > _INT64_SAFE_BITS * b:
-        return np.array(_floor_pow_each(ns.tolist(), a, b), dtype=object)
+        return _floor_pow_each(ns.tolist(), a, b)
 
     tol = _band(n_max, a, b)
     if ns.size <= CHUNK:
@@ -342,13 +342,11 @@ def _floor_pow_slice(ns: np.ndarray, a: int, b: int, tol: float) -> np.ndarray:
     return k
 
 
-def _floor_pow_each(ns: list[int], a: int, b: int) -> list[int]:
-    """floor(n^(a/b)) one element at a time, exactly; an exponent c = a/b
-    goes through floor_pow, whose calls count the exact fallbacks."""
-    if a > b:
-        c = ExponentC(a, b)
-        return [floor_pow(n, c) for n in ns]
-    return [_floor_pow(n, a, b) for n in ns]
+def _floor_pow_each(ns: Iterable[int], a: int, b: int) -> np.ndarray:
+    """floor(n^(a/b)) as an object array, one exact floor per int n >= 1; an
+    exponent c = a/b goes through floor_pow, whose calls count these floors."""
+    c = ExponentC(a, b) if a > b else None
+    return np.array([floor_pow(n, c) if c else _floor_pow(n, a, b) for n in ns], dtype=object)
 
 
 def _settle_band(ns: np.ndarray, m: np.ndarray, a: int, b: int, tol: float) -> np.ndarray:
@@ -361,7 +359,7 @@ def _settle_band(ns: np.ndarray, m: np.ndarray, a: int, b: int, tol: float) -> n
     EXACT_BITS bits; a wider band, or larger powers, takes the exact floor
     per element."""
     if tol >= 0.5 or a * int(ns.max()).bit_length() > EXACT_BITS:
-        return np.array(_floor_pow_each(ns.tolist(), a, b), dtype=np.int64)
+        return _floor_pow_each(ns.tolist(), a, b).astype(np.int64)
     for lo in range(0, ns.size, BAND_SLICE):
         part = slice(lo, lo + BAND_SLICE)
         m[part] -= m[part].astype(object) ** b > ns[part].astype(object) ** a
@@ -470,12 +468,14 @@ def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def value_blocks(lo: int, hi: int, c: ExponentC) -> Iterator[np.ndarray]:
     """floor(n^c) for n = lo..hi in increasing order, exact: one
     floor_pow_bulk array per CHUNK consecutive preimages, so a harness that
-    reduces block by block holds one block of values at a time.  The
-    preimages are int64, so hi >= 2^63 is refused before any is made."""
-    if hi >= 2**63:
-        raise ValidationError(f"value_blocks takes int64 preimages, n <= 2^63 - 1; got hi = {hi}")
+    reduces block by block holds one block of values at a time.  A block
+    that reaches n = 2^63 (np.arange would wrap) is floored one by one."""
     for start in range(lo, hi + 1, CHUNK):
-        yield floor_pow_bulk(np.arange(start, min(start + CHUNK, hi + 1), dtype=np.int64), c)
+        stop = min(start + CHUNK, hi + 1)
+        if stop > 2**63:
+            yield _floor_pow_each(range(start, stop), c.p, c.q)
+        else:
+            yield floor_pow_bulk(np.arange(start, stop, dtype=np.int64), c)
 
 
 def last_preimage(X: int, c: ExponentC) -> int:

@@ -316,6 +316,8 @@ _MODULI = st.one_of(
     st.integers(0, 62).map(lambda k: 2**k),
     st.tuples(st.integers(1, 15), st.integers(0, 5000)).map(lambda t: 4 ** t[0] * (2 * t[1] + 1) ** 2),
     _ODD.map(lambda o: o * o),
+    # just above a multiple of 2^32: cut to a uint32 word they would read 1 or 5
+    st.sampled_from([2**32 + 1, (2**16 + 1) ** 2, 3 * 2**32 + 5]),
 )
 
 
@@ -323,13 +325,15 @@ _MODULI = st.one_of(
 @given(top=st.sampled_from([2**32 - 1, 2**63 - 1]), moduli=st.lists(_MODULI, min_size=1, max_size=6), data=st.data())
 def test_divisible_matches_remainders(top, moduli, data):
     # moduli 1, powers of 2 and squares, even (2^2k o^2) and odd, up to
-    # 9e18, so many lie above every value; values up to top, both sides
-    # of 2^32 (uint32 and uint64 words), powers of 2 and multiples of the
-    # moduli, and always 0, 2^31 and top
+    # 9e18, so many lie above every value, and odd moduli a little above a
+    # multiple of 2^32; values up to top, both sides of 2^32 (uint32 and
+    # uint64 words), powers of 2, multiples of the moduli and their
+    # neighbours, and always 0, 1, 2^31 and top
     multiple = st.sampled_from(moduli).flatmap(lambda m: st.integers(0, top // m).map(lambda r: r * m))
+    beside = st.tuples(multiple, st.sampled_from([-1, 1])).map(lambda t: min(max(t[0] + t[1], 0), top))
     near = st.integers(2**32 - 4096, min(top, 2**32 + 4096))
     power = st.integers(0, top.bit_length() - 1).map(lambda k: 2**k)
-    values = [0, 2**31, top] + data.draw(st.lists(st.one_of(st.integers(0, top), near, power, multiple)))
+    values = [0, 1, 2**31, top] + data.draw(st.lists(st.one_of(st.integers(0, top), near, power, multiple, beside)))
     got = [hit.tolist() for hit in divisible(np.array(values, dtype=np.int64), np.array(moduli, dtype=np.int64))]
     assert got == [[v % m == 0 for v in values] for m in moduli]
 

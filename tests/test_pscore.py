@@ -430,17 +430,24 @@ def test_is_ps_value_bulk_runs_by_chunk():
 C_WINDOWS = [ExponentC(*pq) for pq in [(3, 2), (8, 7), (17, 10), (21, 20), (1001, 1000)]]
 
 
-def test_value_blocks_refuse_preimages_beyond_int64():
+def test_value_blocks_take_preimages_beyond_int64():
     # np.arange over Python ints that reach 2^63 wraps to -2^63 or turns to
-    # float64; the refusal names the int64 preimage range and comes first
-    for lo, hi in [(2**63 - 2, 2**63), (2**64, 2**64 + 1)]:
-        t0 = time.perf_counter()
-        with pytest.raises(ValidationError, match="int64 preimages"):
-            next(pscore.value_blocks(lo, hi, C32))
-        assert time.perf_counter() - t0 < 1.0
-    # the last int64 preimage is still taken, on the exact object route
-    (block,) = pscore.value_blocks(2**63 - 2, 2**63 - 1, C32)
-    assert [int(v) for v in block] == [floor_pow(2**63 - 2, C32), floor_pow(2**63 - 1, C32)]
+    # float64; a block that reaches 2^63 is a range of Python ints instead.
+    # Blocks that straddle 2^63, that end at 2^63 - 1 with the next one
+    # starting at 2^63, and that start at 2^64, all exact
+    runs = [(2**63 - 2, 2**63 - 1), (2**63 - 3, 2**63 + 2), (2**63 - pscore.CHUNK, 2**63 + 1), (2**64, 2**64 + 3)]
+    for c, (lo, hi) in [*((C32, run) for run in runs), (ExponentC(1001, 1000), runs[1]), (ExponentC(1001, 1000), runs[3])]:
+        blocks = list(pscore.value_blocks(lo, hi, c))
+        assert [b.size for b in blocks] == [min(pscore.CHUNK, hi + 1 - s) for s in range(lo, hi + 1, pscore.CHUNK)]
+        assert all(b.dtype == object for b in blocks)  # never float64, never wrapped int64
+        vals = [v for b in blocks for v in b.tolist()]
+        assert all(type(v) is int and v > 0 for v in vals)
+        if hi - lo < 10:
+            assert vals == [floor_pow(n, c) for n in range(lo, hi + 1)]
+        else:  # the CHUNK-long block: its ends and a sample, then strictly increasing
+            sample = [0, 1, 777, pscore.CHUNK - 2, pscore.CHUNK - 1, pscore.CHUNK, pscore.CHUNK + 1]
+            assert [vals[i] for i in sample] == [floor_pow(lo + i, c) for i in sample]
+            assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def _multiples_found(s, V, c):
@@ -629,6 +636,28 @@ def test_rational_powers_at_perfect_powers(c, data):
 def test_ps_values_in_matches_membership_filter_at_1001_1000(lo, width):
     c = ExponentC(1001, 1000)
     stream = [(w.value, w.preimage) for w in ps_values_in(lo, lo + width, c)]
+    direct = [(k, w.preimage) for k in range(lo, lo + width + 1) if (w := is_ps_value(k, c)).is_member]
+    assert stream == direct
+
+
+C701 = ExponentC(701, 700)
+
+
+@pytest.mark.parametrize("c, base", [(c, base) for c in C_WINDOWS for base in (1, 2**63 - 3)] + [(C701, 9_652_000_000_000)])
+@settings(max_examples=12, deadline=None)
+@given(j=st.integers(0, 4), d=st.integers(-2, 1), width=st.integers(0, 40), chunk=st.sampled_from([1, 2, 3, 7]))
+@example(j=3, d=0, width=0, chunk=1)  # from 2^63 - 3: preimages 2^63 - 1 and 2^63, one block each
+@example(j=0, d=0, width=40, chunk=3)
+def test_ps_values_in_is_the_is_ps_value_filter_across_blocks(c, base, j, d, width, chunk):
+    # value ranges [lo, lo + width] from lo = floor(n0^c) + d, whose
+    # preimages run over several blocks (CHUNK made small) and, with n0
+    # near 2^63, from int64 preimages into the blocks of Python ints; at
+    # 701/700 near values 10^13 most floors fall in the float band
+    n0 = base + j
+    lo = max(floor_pow(n0, c) + d, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pscore, "CHUNK", chunk)
+        stream = [(w.value, w.preimage) for w in ps_values_in(lo, lo + width, c)]
     direct = [(k, w.preimage) for k in range(lo, lo + width + 1) if (w := is_ps_value(k, c)).is_member]
     assert stream == direct
 

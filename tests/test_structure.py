@@ -147,12 +147,15 @@ def test_one_e_of_x():
 
 
 def test_one_value_generator():
-    from pslab import arith
+    from pslab import arith, pscore
 
     assert _count(r"_values_upto|ps_value_chunks") == 0
     # every value array is built by pscore.value_blocks, block by block;
     # value_preimages is the one other caller, for its candidate preimages
     assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "value_blocks"), ("pscore.py", "value_preimages")]
+    # ps_values_in filters value_blocks and floors no preimage of its own
+    walk = inspect.getsource(pscore.ps_values_in)
+    assert "value_blocks(" in walk and re.search(r"_floor_pow\(\w+, c\.p, c\.q\)", walk) is None
     # and factor_stream factors what it is given, with no slicing of its own
     assert "CHUNK" not in inspect.getsource(arith.factor_stream)
 
@@ -186,4 +189,6 @@ def test_one_square_divisibility_test_and_one_cost_rule():
     assert re.findall(r"% ?dd|% \(d", source) == []
     assert "% q" in source
     assert _sites(r"MULTIPLE_COST\[") == [("experiments.py", "_by_multiples")]
-    assert {name for name, _ in _sites(r"pow\(.*, -1,")} == {"arith.py"}
+    # inverses mod 2^w come from one helper, for both division-free tests
+    assert _sites(r"pow\(.*, -1,") == []
+    assert _sites(r"(?<!def )\b_inverses\(") == [("arith.py", "divisible"), ("arith.py", "factor_stream")]
