@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, log, prod
+from math import gcd, isqrt, prod
 from typing import Iterator
 
 import numpy as np
@@ -275,18 +275,6 @@ class FactorStream:
         """Cofactors of the form p^2."""
         return (self.cofactor > 1) & (self.root * self.root == self.cofactor)
 
-    def log_terms(self) -> list[float]:
-        """The terms whose sum is the sum over values of log p over the
-        distinct primes p | value: hits * log p for each prime up to the
-        bound that divides a value, then log r, or log sqrt(r) when r = p^2,
-        for each cofactor r > 1, so no cofactor is split.  A caller that
-        factors block by block feeds every block's terms to one math.fsum,
-        which is correctly rounded and so independent of order."""
-        r = np.where(self.square, self.root, self.cofactor)
-        terms = [h * log(p) for p, h in zip(self.primes.tolist(), self.hits.tolist()) if h]
-        terms += np.log(r[r > 1].astype(np.float64)).tolist()
-        return terms
-
     def largest_prime(self) -> np.ndarray:
         """P(value) for every value, 1 for the value 1.
 
@@ -351,9 +339,18 @@ def _is_sprp_bulk(n: np.ndarray) -> np.ndarray:
             b = _mulmod(b, b, m)
             e = e >> 1
         passed = divides_base | (x == 1) | (x == m - 1)
-        for k in range(1, int(s.max(initial=0))):
-            x = _mulmod(x, x, m)
-            passed |= (k < s) & (x == m - 1)
+        # x^(2^k) for k = 1 .. s - 1, squared only while the n is still open:
+        # not yet passed, and k < s
+        open_ = np.flatnonzero(~passed & (s > 1))
+        xo, mo, so = x[open_], m[open_], s[open_]
+        k = 1
+        while open_.size:
+            xo = _mulmod(xo, xo, mo)
+            hit = xo == mo - 1
+            passed[open_[hit]] = True
+            k += 1
+            keep = ~hit & (k < so)
+            open_, xo, mo, so = open_[keep], xo[keep], mo[keep], so[keep]
         # the next base runs only on the n that passed this one
         live, m, d, s = live[passed], m[passed], d[passed], s[passed]
     ok = np.zeros(n.shape, dtype=bool)

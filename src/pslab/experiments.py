@@ -14,7 +14,6 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import chain
 from math import fsum, isqrt, log
 from typing import Callable, Iterator, Union
 
@@ -143,19 +142,62 @@ def squarefree_density(x: int, c: ExponentC) -> ExperimentReport:
     )
 
 
+def _count_divisible(s: np.ndarray, V: int, x: int, c: ExponentC, counts: np.ndarray) -> tuple[Iterator[np.ndarray], bool]:
+    """Count counts[i] = #{n <= x : s[i] | floor(n^c)} for the int64
+    moduli s >= 1, V = floor(x^c), each from the side _by_multiples picks.
+    The moduli counted from their multiples up to V
+    (pscore.multiple_preimages) are counted before this returns.  It
+    returns the walk over the value blocks of n = 1..x, which tests the
+    other moduli on each block with arith.divisible before yielding it, and
+    whether there are any: their counts are whole once the walk has ended."""
+    sparse = _by_multiples(s, V, x)
+    which = [np.zeros(0, dtype=np.int64)] + [i for i, _, _ in multiple_preimages(s[sparse], V, c)]
+    counts[sparse] = np.bincount(np.concatenate(which), minlength=int(np.count_nonzero(sparse)))
+    dense = np.flatnonzero(~sparse)
+
+    def walk() -> Iterator[np.ndarray]:
+        moduli = s[dense]
+        for v in value_blocks(1, x, c):
+            counts[dense] += np.array([np.count_nonzero(hit) for hit in divisible(v, moduli)], dtype=np.int64)
+            yield v
+
+    return walk(), bool(dense.size)
+
+
 def chebyshev_sum(x: int, c: ExponentC) -> ExperimentReport:
     """sum_{n<=x} sum_{p | floor(n^c)} log p against c*x*(log x - 1).
 
-    Each value block is factored with its own bound, the cube root of its
-    largest value, and the log_terms of all blocks feed one math.fsum.  The
-    reference keeps the second-order term of sum log(floor(n^c))
-    ~ c x (log x - 1); at desk scale the naive c x log x would hide the
-    convergence behind a ~7 percent offset.
+    Nothing is factored.  For v >= 1, sum_{p | v} log p = log v minus
+    sum_p sum_{k >= 2} [p^k | v] log p, since sum_{k >= 1} [p^k | v]
+    counts the exponent of p in v.  So the sum is sum_{n<=x} log floor(n^c)
+    minus #{n <= x : p^k | floor(n^c)} log p over the prime powers
+    p^k <= V = floor(x^c), k >= 2, counted by _count_divisible on the same
+    walk over the values that sums their logs.  Each block's log sum is one
+    np.sum over its CHUNK preimages, a fixed-block pairwise reduction, and
+    all of them, with every -count log p, feed one math.fsum, which is
+    correctly rounded; so the result depends on neither the order of the
+    terms nor anything but x and c.  The reference keeps the second-order
+    term of sum log(floor(n^c)) ~ c x (log x - 1); at desk scale the naive
+    c x log x would hide the convergence behind a ~7 percent offset.
     """
     check_range(x, 1, 10**6, "Chebyshev")
     _check_values(x, c)
     t0 = time.perf_counter()
-    observed = fsum(chain.from_iterable(factor_stream(v).log_terms() for v in value_blocks(1, x, c)))
+    V = _floor_pow(x, c.p, c.q)
+    # every p^k <= V, k >= 2, with its p; p^(k+1) is formed only below V
+    p = _simple_sieve(isqrt(V))
+    pk = p * p
+    primes, powers = [p], [pk]
+    while p.size:
+        more = pk <= V // p
+        p, pk = p[more], pk[more] * p[more]
+        primes.append(p)
+        powers.append(pk)
+    p, pk = np.concatenate(primes), np.concatenate(powers)
+    counts = np.zeros(pk.size, dtype=np.int64)
+    walk, _ = _count_divisible(pk, V, x, c, counts)
+    terms = [float(np.sum(np.log(v))) for v in walk]
+    observed = fsum(terms + (-counts * np.log(p)).tolist())
     return ExperimentReport(
         "chebyshev_sum", {"x": x, "c": str(c)}, observed, c.as_float * x * (log(x) - 1.0), _ms_since(t0)
     )
@@ -263,12 +305,10 @@ def square_divisor_sum(
     # _by_multiples picks; lhs is the sum in d order
     nonzero = zd != 0.0
     squares, weights = ds[nonzero] ** 2, zd[nonzero]
-    sparse = _by_multiples(squares, V, x)
     counts = np.zeros(squares.size, dtype=np.int64)
-    which = [np.zeros(0, dtype=np.int64)] + [i for i, _, _ in multiple_preimages(squares[sparse], V, c)]
-    counts[sparse] = np.bincount(np.concatenate(which), minlength=int(np.count_nonzero(sparse)))
-    for vals in value_blocks(1, x, c) if not sparse.all() else ():
-        counts[~sparse] += [np.count_nonzero(hit) for hit in divisible(vals, squares[~sparse])]
+    walk, dense = _count_divisible(squares, V, x, c, counts)
+    for _ in walk if dense else ():
+        pass
     lhs = 0.0
     for w, n in zip(weights.tolist(), counts.tolist()):
         lhs += w * n
@@ -287,7 +327,13 @@ def residue_equidistribution(N: int, c: ExponentC, q: int, a: int) -> Experiment
     if not (Fraction(3, 2) < e < 2):
         warnings.warn(f"c={c} outside (3/2, 2); the equidistribution claim is unproven there")
     t0 = time.perf_counter()
-    observed = sum(int(np.count_nonzero(v % q == a % q)) for v in value_blocks(N + 1, 2 * N, c))
+    r, mod, observed = a % q, np.array([q], dtype=np.int64), 0
+    for v in value_blocks(N + 1, 2 * N, c):
+        # every value exceeds N >= q > r, so v - r >= 0 suits divisible; a
+        # block of values past 2^63 holds Python ints, which take % (the
+        # q-guard admits such values only with q = 1)
+        hit = v % q == r if v.dtype == object else next(divisible(v - r, mod))
+        observed += int(np.count_nonzero(hit))
     params = {"N": N, "c": str(c), "q": q, "a": a}
     return ExperimentReport("residue_equidistribution", params, float(observed), N / q, _ms_since(t0))
 

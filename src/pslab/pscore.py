@@ -394,39 +394,54 @@ def value_preimages(ks: np.ndarray, c: ExponentC) -> np.ndarray:
     k (all of them once r + tol reaches 1); every other k is no value.  The
     kept k are settled exactly: floor((n0+1)^c) by floor_pow_bulk, and the
     perfect p-th powers looked up, not computed, among the powers inside
-    the kept k's [min, max].  The input runs CHUNK elements at a time into
-    one result, as in _floor_pow_bulk, so the temporaries stay one slice
-    long.
+    the kept k's [min, max].  The input runs CHUNK elements at a time
+    (_preimages_slice) into one result, as in _floor_pow_bulk, through two
+    float64 work arrays of one slice each.
     """
     ks = np.asarray(ks, dtype=np.int64)
     out = np.zeros(ks.size, dtype=np.int64)
     if ks.size and int(ks.min()) < 1:
         raise ValidationError("value_preimages requires all k >= 1")
-    g = c.q / c.p
+    size = min(ks.size, CHUNK)
+    work = np.empty(size), np.empty(size)
     for lo in range(0, ks.size, CHUNK):
-        part = ks[lo : lo + CHUNK]
-        tol = _band(int(part.max()), c.q, c.p)
-        # the float64 g k_min^(g-1) errs by a few ulp; 2^-30 covers it
-        r = tol + g * float(part.min()) ** (g - 1.0) * (1.0 + 2.0**-30)
-        if r + tol < 1.0:
-            z = part.astype(np.float64)
-            np.power(z, g, out=z)
-            z += r
-            z -= np.floor(z)
-            near = np.flatnonzero(z <= r + tol)
-            if near.size == 0:
-                continue
-            k = part[near]
-        else:
-            near, k = slice(None), part
-        n0 = _floor_pow_bulk(k, c.q, c.p)
-        pre = np.where(floor_pow_bulk(n0 + 1, c) == k, n0 + 1, 0)
-        m_lo, m_hi = integer_root(int(k.min()) - 1, c.p) + 1, integer_root(int(k.max()), c.p)
-        if m_lo <= m_hi:
-            power = in_sorted(np.arange(m_lo, m_hi + 1, dtype=np.int64) ** c.p, k)
-            pre[power] = n0[power]
+        near, pre = _preimages_slice(ks[lo : lo + CHUNK], c, work)
         out[lo : lo + CHUNK][near] = pre
     return out
+
+
+def _preimages_slice(
+    part: np.ndarray, c: ExponentC, work: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """value_preimages on one slice of at most CHUNK int64 k >= 1: the
+    indices of the k its float pass keeps and their preimages, 0 for a kept
+    k that is no value.  The float pass runs in place in work, two float64
+    arrays of at least part.size elements each: two, not one of twice the
+    size, since freeing a 1 MB block raises glibc's mmap threshold to 1 MB,
+    and the 512 KB arrays of later calls then stay on the heap and raise
+    the process's peak RSS."""
+    g = c.q / c.p
+    tol = _band(int(part.max()), c.q, c.p)
+    # the float64 g k_min^(g-1) errs by a few ulp; 2^-30 covers it
+    r = tol + g * float(part.min()) ** (g - 1.0) * (1.0 + 2.0**-30)
+    if r + tol < 1.0:
+        z, w = (a[: part.size] for a in work)
+        np.power(part, g, out=z)
+        z += r
+        z -= np.floor(z, out=w)
+        near = np.flatnonzero(z <= r + tol)
+        if near.size == 0:
+            return near, near
+        k = part[near]
+    else:
+        near, k = np.arange(part.size), part
+    n0 = _floor_pow_bulk(k, c.q, c.p)
+    pre = np.where(floor_pow_bulk(n0 + 1, c) == k, n0 + 1, 0)
+    m_lo, m_hi = integer_root(int(k.min()) - 1, c.p) + 1, integer_root(int(k.max()), c.p)
+    if m_lo <= m_hi:
+        power = in_sorted(np.arange(m_lo, m_hi + 1, dtype=np.int64) ** c.p, k)
+        pre[power] = n0[power]
+    return near, pre
 
 
 def multiple_preimages(s: np.ndarray, V: int, c: ExponentC) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -435,27 +450,32 @@ def multiple_preimages(s: np.ndarray, V: int, c: ExponentC) -> Iterator[tuple[np
     s >= 1 and V < 2^63, as one triple of arrays per chunk of multiples.
 
     The multiples are numbered across the moduli in order, V // s[i] of
-    them for s[i], and pass through value_preimages CHUNK at a time: each
-    chunk is made from the moduli its numbers span, by repeating each
-    modulus and its first number, so no array of all the multiples is ever
-    held.  The triples come out in that order: ascending i, and ascending k
-    within each i.
+    them for s[i], and pass through value_preimages' float pass
+    (_preimages_slice) CHUNK at a time: each chunk is made from the moduli
+    its numbers span, by repeating each modulus and its first number, so no
+    array of all the multiples is ever held.  Each chunk is built and
+    tested in place in work arrays allocated once per call, not in fresh
+    temporaries.  The triples come out in that order: ascending i, and
+    ascending k within each i.
     """
     s = np.asarray(s, dtype=np.int64)
     counts = V // s
     ends = np.cumsum(counts)
     firsts = ends - counts
     total = int(ends[-1]) if s.size else 0
+    size = min(total, CHUNK)
+    numbers = np.arange(1, size + 1, dtype=np.int64)
+    buf, work = np.empty(size, dtype=np.int64), (np.empty(size), np.empty(size))
     for lo in range(0, total, CHUNK):
         hi = min(lo + CHUNK, total)
         span = slice(*np.searchsorted(ends, [lo, hi - 1], side="right") + [0, 1])
         reps = np.minimum(ends[span], hi) - np.maximum(firsts[span], lo)
-        ks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        ks = np.add(numbers[: hi - lo], lo, out=buf[: hi - lo])
         ks -= np.repeat(firsts[span], reps)  # m
         ks *= np.repeat(s[span], reps)
-        n = value_preimages(ks, c)
+        near, n = _preimages_slice(ks, c, work)
         hit = np.flatnonzero(n)
-        yield np.searchsorted(ends, lo + hit, side="right"), ks[hit], n[hit]
+        yield np.searchsorted(ends, lo + near[hit], side="right"), ks[near[hit]], n[hit]
 
 
 def in_sorted(sorted_vals: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -193,8 +193,6 @@ def _assert_matches_factorize(values):
     fms = [factorize(int(v)) for v in values]
     assert fs.squarefree.tolist() == [f.is_squarefree() for f in fms]
     assert fs.largest_prime().tolist() == [f.max_prime() if f.entries else 1 for f in fms]
-    logs = math.fsum(math.log(p) for f in fms for p in f.primes())
-    assert math.fsum(fs.log_terms()) == pytest.approx(logs, rel=1e-12, abs=0.0)
 
 
 # trial division stops at cbrt(10^12) = 10^4; 10007 is the first prime above,
@@ -259,20 +257,6 @@ def test_factor_stream_refuses_out_of_range_values():
         factor_stream(np.array([10**12 + 1], dtype=np.int64))
     with pytest.raises(ValidationError):
         factor_stream(np.array([0, 5], dtype=np.int64))
-    assert factor_stream(np.zeros(0, dtype=np.int64)).log_terms() == []
-
-
-def test_log_sum_equals_one_list_fsum():
-    from pslab.pscore import CHUNK
-
-    # more cofactors above 1 than one CHUNK: log_terms() lists every prime's
-    # term and then every cofactor's, all in one list for one fsum
-    vals = np.arange(10**6, 10**6 + 3 * CHUNK, dtype=np.int64) ** 2 // 7 + 1
-    fs = factor_stream(vals)
-    r = np.where(fs.square, fs.root, fs.cofactor)
-    assert int(np.count_nonzero(r > 1)) > CHUNK
-    terms = [h * math.log(p) for p, h in zip(fs.primes.tolist(), fs.hits.tolist()) if h]
-    assert fs.log_terms() == terms + np.log(r[r > 1].astype(np.float64)).tolist()
 
 
 def _stream_near(top, seed):
@@ -350,6 +334,27 @@ def test_is_sprp_bulk_on_both_base_sets(top):
             65537**2, 4759123129, 4759123121]
     vals = [*rng.integers(5, top, 3000).tolist(), *hard, top]
     n = np.array([v for v in vals if v <= top], dtype=np.int64)
+    assert _is_sprp_bulk(n).tolist() == [is_prime(int(v)) for v in n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(5, 2**40 - 1),
+            # n = 2^s d + 1 with large s: the squaring chain runs longest
+            st.integers(10, 39).flatmap(lambda k: st.integers(0, 2 ** (39 - k) - 1).map(lambda d: ((2 * d + 1) << k) + 1)),
+            st.sampled_from([65537, 2**32 + 1, 3 * 2**30 + 1, 5 * 2**25 + 1, 7 * 2**26 + 1, 2**39 + 1,
+                             1099511627689, 1073741827, 1048577 * 1048573]),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_is_sprp_bulk_matches_is_prime(values):
+    from pslab.arith import _is_sprp_bulk
+
+    n = np.array(values, dtype=np.int64)
     assert _is_sprp_bulk(n).tolist() == [is_prime(int(v)) for v in n]
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -17,6 +18,8 @@ from pslab import (
     ValidationError,
     chebyshev_sum,
     convolution_count,
+    experiments,
+    factorize,
     floor_pow,
     integer_root,
     is_squarefree_bulk,
@@ -130,6 +133,45 @@ def test_chebyshev_matches_slow_oracle_near_c_two():
         math.log(p) for n in range(1, 2001) for p in factorize(floor_pow(n, c)).primes()
     )
     assert chebyshev_sum(2000, c).observed == pytest.approx(expected, rel=1e-12)
+
+
+CHEBYSHEV_CS = [ExponentC(101, 100), ExponentC(8, 7), C32, ExponentC(7, 4), ExponentC(19, 10)]
+
+
+@functools.lru_cache(maxsize=None)
+def _distinct_prime_logs(c, x_max=3000):
+    """sum_{p | floor(n^c)} log p for n = 1..x_max, by factorize."""
+    return [math.fsum(math.log(p) for p in factorize(floor_pow(n, c)).primes()) for n in range(1, x_max + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(CHEBYSHEV_CS), st.integers(1, 3000))
+def test_chebyshev_matches_the_factorize_oracle(c, x):
+    # log floor(n^c) minus the prime-power counts, against whole factorizations
+    want = math.fsum(_distinct_prime_logs(c)[:x])
+    assert chebyshev_sum(x, c).observed == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_count_divisible_counts_each_prime_power_from_either_side():
+    # at (10^5, 3/2) a modulus below V / ceil(x / 60) = 18973 is tested on
+    # the blocks, one above it is counted from its multiples
+    x, c = 10**5, C32
+    V = floor_pow(x, c)
+    s = np.array([4, 8, 2**14, 2**15, 2**20, 2**24, 9, 27, 3**9, 3**10, 25, 125, 101**2, 101**3,
+                  137**2, 139**2, 1009**2, 5003**2], dtype=np.int64)
+    sparse = experiments._by_multiples(s, V, x)
+    assert sparse.any() and not sparse.all()
+    vals = np.concatenate(list(value_blocks(1, x, c)))
+    want = [int(np.count_nonzero(vals % m == 0)) for m in s.tolist()]
+    counts = np.zeros(s.size, dtype=np.int64)
+    walk, dense = experiments._count_divisible(s, V, x, c, counts)
+    assert dense
+    assert np.array_equal(np.concatenate(list(walk)), vals)
+    assert counts.tolist() == want
+    # with every modulus counted from its multiples, nothing is left to walk
+    counts = np.zeros(int(np.count_nonzero(sparse)), dtype=np.int64)
+    _, dense = experiments._count_divisible(s[sparse], V, x, c, counts)
+    assert not dense and counts.tolist() == np.array(want)[sparse].tolist()
 
 
 def test_chebyshev_acceptance_band():
@@ -380,6 +422,24 @@ def test_residue_equidistribution_exactness():
         residue_equidistribution(n, C1710, 7, a).observed for a in range(7)
     ]
     assert sum(counts) == float(n)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_residue_counts_match_brute_force_for_any_residue(q):
+    # q = 5 is the largest modulus the guard admits at N = 2000, c = 17/10
+    N = 2000
+    values = [floor_pow(n, C1710) for n in range(N + 1, 2 * N + 1)]
+    for a in (-7, -1, 0, 1, q - 1, q, q + 3, 3 * q + 1):
+        want = sum(v % q == a % q for v in values)
+        assert residue_equidistribution(N, C1710, q, a).observed == want
+
+
+def test_residue_counts_values_beyond_int64():
+    # at N = 1 the guard admits any c; floor(2^(1000/3)) passes 2^63
+    c = ExponentC(1000, 3)
+    assert floor_pow(2, c) > 2**63
+    with pytest.warns(UserWarning):
+        assert [residue_equidistribution(1, c, 1, a).observed for a in (-1, 0, 5)] == [1.0] * 3
 
 
 def test_residue_equidistribution_acceptance_band():

@@ -151,8 +151,8 @@ def test_one_value_generator():
 
     assert _count(r"_values_upto|ps_value_chunks") == 0
     # every value array is built by pscore.value_blocks, block by block;
-    # value_preimages is the one other caller, for its candidate preimages
-    assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "value_blocks"), ("pscore.py", "value_preimages")]
+    # _preimages_slice, the slice of value_preimages, is the one other caller
+    assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "_preimages_slice"), ("pscore.py", "value_blocks")]
     # ps_values_in filters value_blocks and floors no preimage of its own
     walk = inspect.getsource(pscore.ps_values_in)
     assert "value_blocks(" in walk and re.search(r"_floor_pow\(\w+, c\.p, c\.q\)", walk) is None
@@ -180,6 +180,20 @@ def test_deciles_come_from_one_percentile_call():
 
 def test_only_experiments_spells_the_decile_keys():
     assert "d{k}0" not in SOURCES["cli.py"]
+
+
+def test_one_per_modulus_counter():
+    from pslab.arith import FactorStream
+
+    # square_divisor_sum and chebyshev_sum count their moduli through
+    # _count_divisible; squarefree_density keeps the multiples it marks
+    sites = _sites(r"(?<!def )\bmultiple_preimages\(")
+    assert sites == [("experiments.py", "_count_divisible"), ("experiments.py", "squarefree_density")]
+    tests = [site for site in _sites(r"(?<!def )\bdivisible\(") if site[0] == "experiments.py"]
+    assert tests == [("experiments.py", "residue_equidistribution"), ("experiments.py", "walk")]
+    # the Chebyshev sum factors nothing, and the terms it factored for are gone
+    assert "factor_stream(" not in inspect.getsource(experiments.chebyshev_sum)
+    assert not hasattr(FactorStream, "log_terms")
 
 
 def test_one_square_divisibility_test_and_one_cost_rule():
