@@ -142,26 +142,26 @@ def squarefree_density(x: int, c: ExponentC) -> ExperimentReport:
     )
 
 
-def _count_divisible(s: np.ndarray, V: int, x: int, c: ExponentC, counts: np.ndarray) -> tuple[Iterator[np.ndarray], bool]:
-    """Count counts[i] = #{n <= x : s[i] | floor(n^c)} for the int64
-    moduli s >= 1, V = floor(x^c), each from the side _by_multiples picks.
-    The moduli counted from their multiples up to V
-    (pscore.multiple_preimages) are counted before this returns.  It
-    returns the walk over the value blocks of n = 1..x, which tests the
-    other moduli on each block with arith.divisible before yielding it, and
-    whether there are any: their counts are whole once the walk has ended."""
+def _count_divisible(
+    s: np.ndarray, V: int, x: int, c: ExponentC, each_block: Callable[[np.ndarray], None] | None = None
+) -> np.ndarray:
+    """#{n <= x : s[i] | floor(n^c)} for each int64 modulus s[i] >= 1,
+    V = floor(x^c), each from the side _by_multiples picks: from its
+    multiples up to V (pscore.multiple_preimages), or by arith.divisible on
+    the value blocks of n = 1..x.  The blocks are made only when a modulus
+    is tested on them or each_block is given; each_block then receives
+    every block, in order, on the same walk."""
     sparse = _by_multiples(s, V, x)
     which = [np.zeros(0, dtype=np.int64)] + [i for i, _, _ in multiple_preimages(s[sparse], V, c)]
+    counts = np.zeros(s.size, dtype=np.int64)
     counts[sparse] = np.bincount(np.concatenate(which), minlength=int(np.count_nonzero(sparse)))
-    dense = np.flatnonzero(~sparse)
-
-    def walk() -> Iterator[np.ndarray]:
-        moduli = s[dense]
+    dense, moduli = ~sparse, s[~sparse]
+    if moduli.size or each_block is not None:
         for v in value_blocks(1, x, c):
             counts[dense] += np.array([np.count_nonzero(hit) for hit in divisible(v, moduli)], dtype=np.int64)
-            yield v
-
-    return walk(), bool(dense.size)
+            if each_block is not None:
+                each_block(v)
+    return counts
 
 
 def chebyshev_sum(x: int, c: ExponentC) -> ExperimentReport:
@@ -194,9 +194,8 @@ def chebyshev_sum(x: int, c: ExponentC) -> ExperimentReport:
         primes.append(p)
         powers.append(pk)
     p, pk = np.concatenate(primes), np.concatenate(powers)
-    counts = np.zeros(pk.size, dtype=np.int64)
-    walk, _ = _count_divisible(pk, V, x, c, counts)
-    terms = [float(np.sum(np.log(v))) for v in walk]
+    terms: list[float] = []
+    counts = _count_divisible(pk, V, x, c, lambda v: terms.append(float(np.sum(np.log(v)))))
     observed = fsum(terms + (-counts * np.log(p)).tolist())
     return ExperimentReport(
         "chebyshev_sum", {"x": x, "c": str(c)}, observed, c.as_float * x * (log(x) - 1.0), _ms_since(t0)
@@ -305,12 +304,8 @@ def square_divisor_sum(
     # _by_multiples picks; lhs is the sum in d order
     nonzero = zd != 0.0
     squares, weights = ds[nonzero] ** 2, zd[nonzero]
-    counts = np.zeros(squares.size, dtype=np.int64)
-    walk, dense = _count_divisible(squares, V, x, c, counts)
-    for _ in walk if dense else ():
-        pass
     lhs = 0.0
-    for w, n in zip(weights.tolist(), counts.tolist()):
+    for w, n in zip(weights.tolist(), _count_divisible(squares, V, x, c).tolist()):
         lhs += w * n
     rhs = float(x) * float(np.sum(zd / ds.astype(np.float64) ** 2))
     return lhs, rhs

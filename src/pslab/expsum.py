@@ -227,13 +227,9 @@ def eval_sum(instance: SumInstance, threads: int = 1) -> complex:
         raise ValidationError("the phase overflows float64 on the instance ranges")
 
     rows = math.prod(lead_shape)
-    if L <= BLOCK:
-        k = BLOCK // L
-        blocks = [(r, min(r + k, rows), 0, L) for r in range(0, rows, k)]
-        last = axis(len(shape) - 1, np.arange(L))  # shared by every block
-    else:
-        blocks = [(r, r + 1, s, min(s + BLOCK, L)) for r in range(rows) for s in range(0, L, BLOCK)]
-        last = None
+    k = max(BLOCK // L, 1)
+    blocks = [(r, min(r + k, rows), s, min(s + BLOCK, L)) for r in range(0, rows, k) for s in range(0, L, BLOCK)]
+    last = axis(len(shape) - 1, np.arange(L)) if L <= BLOCK else None  # shared by every block
     weighted = instance.weights is not None or instance.joint_weight is not None
 
     def block_value(e: Callable, buf: np.ndarray, r0: int, r1: int, s0: int, s1: int) -> complex:

@@ -368,18 +368,7 @@ def _settle_band(ns: np.ndarray, m: np.ndarray, a: int, b: int, tol: float) -> n
 
 def is_ps_value_bulk(ks: np.ndarray, c: ExponentC) -> np.ndarray:
     """Whether each k >= 1 of an int64 array is a value floor(n^c), exactly:
-    the bulk is_ps_value, read off value_preimages one CHUNK at a time, so
-    the int64 preimages stay one slice long."""
-    ks = np.asarray(ks, dtype=np.int64)
-    out = np.empty(ks.size, dtype=bool)
-    for lo in range(0, ks.size, CHUNK):
-        out[lo : lo + CHUNK] = value_preimages(ks[lo : lo + CHUNK], c) > 0
-    return out
-
-
-def value_preimages(ks: np.ndarray, c: ExponentC) -> np.ndarray:
-    """The preimage n of each k >= 1 of an int64 array that is a value
-    floor(n^c), and 0 for every other k, exactly.
+    the bulk is_ps_value.
 
     With g = 1/c and n0 = floor(k^g), k is a value when
     floor((n0+1)^c) = k, that is when n0 + 1 < (k+1)^g, with preimage
@@ -395,25 +384,25 @@ def value_preimages(ks: np.ndarray, c: ExponentC) -> np.ndarray:
     kept k are settled exactly: floor((n0+1)^c) by floor_pow_bulk, and the
     perfect p-th powers looked up, not computed, among the powers inside
     the kept k's [min, max].  The input runs CHUNK elements at a time
-    (_preimages_slice) into one result, as in _floor_pow_bulk, through two
-    float64 work arrays of one slice each.
+    (_preimages_slice) into one bool result, through two float64 work
+    arrays of one slice each, allocated once per call.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    out = np.zeros(ks.size, dtype=np.int64)
+    out = np.zeros(ks.size, dtype=bool)
     if ks.size and int(ks.min()) < 1:
-        raise ValidationError("value_preimages requires all k >= 1")
+        raise ValidationError("is_ps_value_bulk requires all k >= 1")
     size = min(ks.size, CHUNK)
     work = np.empty(size), np.empty(size)
     for lo in range(0, ks.size, CHUNK):
         near, pre = _preimages_slice(ks[lo : lo + CHUNK], c, work)
-        out[lo : lo + CHUNK][near] = pre
+        out[lo : lo + CHUNK][near] = pre > 0
     return out
 
 
 def _preimages_slice(
     part: np.ndarray, c: ExponentC, work: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """value_preimages on one slice of at most CHUNK int64 k >= 1: the
+    """is_ps_value_bulk on one slice of at most CHUNK int64 k >= 1: the
     indices of the k its float pass keeps and their preimages, 0 for a kept
     k that is no value.  The float pass runs in place in work, two float64
     arrays of at least part.size elements each: two, not one of twice the
@@ -450,7 +439,7 @@ def multiple_preimages(s: np.ndarray, V: int, c: ExponentC) -> Iterator[tuple[np
     s >= 1 and V < 2^63, as one triple of arrays per chunk of multiples.
 
     The multiples are numbered across the moduli in order, V // s[i] of
-    them for s[i], and pass through value_preimages' float pass
+    them for s[i], and pass through is_ps_value_bulk's float pass
     (_preimages_slice) CHUNK at a time: each chunk is made from the moduli
     its numbers span, by repeating each modulus and its first number, so no
     array of all the multiples is ever held.  Each chunk is built and

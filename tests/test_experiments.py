@@ -163,15 +163,35 @@ def test_count_divisible_counts_each_prime_power_from_either_side():
     assert sparse.any() and not sparse.all()
     vals = np.concatenate(list(value_blocks(1, x, c)))
     want = [int(np.count_nonzero(vals % m == 0)) for m in s.tolist()]
-    counts = np.zeros(s.size, dtype=np.int64)
-    walk, dense = experiments._count_divisible(s, V, x, c, counts)
-    assert dense
-    assert np.array_equal(np.concatenate(list(walk)), vals)
-    assert counts.tolist() == want
-    # with every modulus counted from its multiples, nothing is left to walk
-    counts = np.zeros(int(np.count_nonzero(sparse)), dtype=np.int64)
-    _, dense = experiments._count_divisible(s[sparse], V, x, c, counts)
-    assert not dense and counts.tolist() == np.array(want)[sparse].tolist()
+    counts = experiments._count_divisible(s, V, x, c)
+    assert counts.dtype == np.int64 and counts.tolist() == want
+    assert experiments._count_divisible(s[sparse], V, x, c).tolist() == np.array(want)[sparse].tolist()
+
+
+def test_count_divisible_makes_no_values_when_every_modulus_is_sparse(monkeypatch):
+    x, c = 10**5, C32
+    V = floor_pow(x, c)
+    s = np.array([139**2, 1009**2, 5003**2], dtype=np.int64)
+    assert experiments._by_multiples(s, V, x).all()
+    want = experiments._count_divisible(s, V, x, c).tolist()
+
+    def refuse(*args):
+        raise AssertionError("value_blocks called with no dense modulus and no each_block")
+
+    monkeypatch.setattr(experiments, "value_blocks", refuse)
+    assert experiments._count_divisible(s, V, x, c).tolist() == want
+
+
+@pytest.mark.parametrize("x, c, s", [
+    (10**5, C32, [4, 9, 1009**2]),  # dense and sparse moduli
+    (10**5, C32, [1009**2, 5003**2]),  # only sparse moduli
+    (2, C32, []),  # V = 2: no prime power at all
+])
+def test_count_divisible_hands_each_value_block_over_in_order(x, c, s):
+    seen = []
+    experiments._count_divisible(np.array(s, dtype=np.int64), floor_pow(x, c), x, c, seen.append)
+    want = list(value_blocks(1, x, c))
+    assert len(seen) == len(want) and all(np.array_equal(a, b) for a, b in zip(seen, want))
 
 
 def test_chebyshev_acceptance_band():

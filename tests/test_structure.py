@@ -151,13 +151,22 @@ def test_one_value_generator():
 
     assert _count(r"_values_upto|ps_value_chunks") == 0
     # every value array is built by pscore.value_blocks, block by block;
-    # _preimages_slice, the slice of value_preimages, is the one other caller
+    # _preimages_slice, the slice of is_ps_value_bulk, is the one other caller
     assert _sites(r"(?<!def )\bfloor_pow_bulk\(") == [("pscore.py", "_preimages_slice"), ("pscore.py", "value_blocks")]
     # ps_values_in filters value_blocks and floors no preimage of its own
     walk = inspect.getsource(pscore.ps_values_in)
     assert "value_blocks(" in walk and re.search(r"_floor_pow\(\w+, c\.p, c\.q\)", walk) is None
     # and factor_stream factors what it is given, with no slicing of its own
     assert "CHUNK" not in inspect.getsource(arith.factor_stream)
+
+
+def test_one_bulk_membership_loop():
+    from pslab import pscore
+
+    # is_ps_value_bulk owns the one loop over the slices; the sparse
+    # counters reach the same slice through multiple_preimages
+    assert not hasattr(pscore, "value_preimages")
+    assert _sites(r"(?<!def )\b_preimages_slice\(") == [("pscore.py", "is_ps_value_bulk"), ("pscore.py", "multiple_preimages")]
 
 
 def test_sequence_primes_are_one_masked_selection():
@@ -190,7 +199,10 @@ def test_one_per_modulus_counter():
     sites = _sites(r"(?<!def )\bmultiple_preimages\(")
     assert sites == [("experiments.py", "_count_divisible"), ("experiments.py", "squarefree_density")]
     tests = [site for site in _sites(r"(?<!def )\bdivisible\(") if site[0] == "experiments.py"]
-    assert tests == [("experiments.py", "residue_equidistribution"), ("experiments.py", "walk")]
+    assert tests == [("experiments.py", "_count_divisible"), ("experiments.py", "residue_equidistribution")]
+    # and returns its counts: no walk handed back, no generator
+    counter = inspect.getsource(experiments._count_divisible)
+    assert "yield" not in counter and "def walk(" not in counter
     # the Chebyshev sum factors nothing, and the terms it factored for are gone
     assert "factor_stream(" not in inspect.getsource(experiments.chebyshev_sum)
     assert not hasattr(FactorStream, "log_terms")
